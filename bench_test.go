@@ -225,10 +225,6 @@ func BenchmarkCheckers(b *testing.B) {
 		mut  func(*core.Config)
 	}{
 		{"velodrome", func(c *core.Config) { c.Analysis = core.Velodrome }},
-		{"velodrome-incremental", func(c *core.Config) {
-			c.Analysis = core.Velodrome
-			c.VelodromeIncremental = true
-		}},
 		{"dc-single", func(c *core.Config) { c.Analysis = core.DCSingle }},
 		{"dc-first", func(c *core.Config) { c.Analysis = core.DCFirst }},
 	}

@@ -27,7 +27,7 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "all",
-			"one of: table2, fig7, table3, refine-overhead, arrays, ablations, filter-precision, pcd-only, telemetry, parallelpcd, servecache, obsoverhead, crosscheck, icdperf, all")
+			"one of: table2, fig7, table3, refine-overhead, arrays, ablations, filter-precision, pcd-only, telemetry, parallelpcd, servecache, obsoverhead, crosscheck, all")
 		scale      = fs.Float64("scale", 0.5, "workload scale factor")
 		trials     = fs.Int("trials", 5, "performance trials per configuration")
 		stable     = fs.Int("stable", 4, "consecutive quiet trials ending refinement (paper: 10)")
@@ -41,7 +41,6 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 		obsOut     = fs.String("obs-out", "BENCH_obs.json", "output path for the obsoverhead experiment's JSON dump")
 		xchkOut    = fs.String("crosscheck-out", "BENCH_crosscheck.json", "output path for the crosscheck experiment's JSON dump (byte-reproducible at a fixed budget)")
 		xchkBudget = fs.Int("crosscheck-budget", 0, "crosscheck sweep triple budget (0: default 120)")
-		perfOut    = fs.String("icdperf-out", "BENCH_icdperf.json", "output path for the icdperf experiment's JSON dump (byte-reproducible on one toolchain)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -63,14 +62,14 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 			return 1
 		}
 	}
-	if code := runExperiments(ctx, *experiment, *csvDir, *telOut, *parOut, *cacheOut, *obsOut, *xchkOut, *perfOut, eval.NewRunner(opts), stdout, stderr); code != 0 {
+	if code := runExperiments(ctx, *experiment, *csvDir, *telOut, *parOut, *cacheOut, *obsOut, *xchkOut, eval.NewRunner(opts), stdout, stderr); code != 0 {
 		return code
 	}
 	return 0
 }
 
 // runExperiments dispatches the experiment set; split out for testing.
-func runExperiments(ctx context.Context, experiment, csvDir, telOut, parOut, cacheOut, obsOut, xchkOut, perfOut string, runner *eval.Runner, stdout, stderr io.Writer) int {
+func runExperiments(ctx context.Context, experiment, csvDir, telOut, parOut, cacheOut, obsOut, xchkOut string, runner *eval.Runner, stdout, stderr io.Writer) int {
 	writeCSV := func(name, content string) bool {
 		if csvDir == "" {
 			return true
@@ -268,23 +267,6 @@ func runExperiments(ctx context.Context, experiment, csvDir, telOut, parOut, cac
 				return d.RenderCrosscheck(), fmt.Errorf("oracle failure (see %s)", xchkOut)
 			}
 			return d.RenderCrosscheck(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "icdperf") {
-		ok = run("icdperf", func() (string, error) {
-			d, err := runner.ICDPerf()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(perfOut, d.JSON(), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(stdout, "[wrote %s]\n", perfOut)
-			if !d.OK() {
-				return d.RenderICDPerf(), fmt.Errorf("acceptance bar missed (see %s)", perfOut)
-			}
-			return d.RenderICDPerf(), nil
 		})
 		ran = true
 	}

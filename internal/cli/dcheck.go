@@ -15,7 +15,6 @@ import (
 
 	"doublechecker/internal/core"
 	"doublechecker/internal/cost"
-	"doublechecker/internal/icd"
 	"doublechecker/internal/lang"
 	"doublechecker/internal/obs"
 	"doublechecker/internal/spec"
@@ -60,8 +59,6 @@ func DCheckContext(ctx context.Context, args []string, stdout, stderr io.Writer)
 
 		pcdWorkers = fs.Int("pcd-workers", 0,
 			"PCD replay worker pool size; >=2 checks SCCs concurrently off the critical path (0/1: in-line serial replay)")
-		icdEngine = fs.String("icd-engine", "incremental",
-			"ICD detection engine: incremental (amortized SCC condensation) or scan (full walk per finish, ablation)")
 
 		statsJSON   = fs.Bool("stats-json", false, "print the run's telemetry snapshot as JSON (deterministic: span wall times stripped)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address while the check runs")
@@ -100,18 +97,12 @@ func DCheckContext(ctx context.Context, args []string, stdout, stderr io.Writer)
 		fmt.Fprintln(stderr, "dcheck: -cache-dir requires -replay")
 		return 2
 	}
-	engine, err := icd.ParseEngine(*icdEngine)
-	if err != nil {
-		fmt.Fprintf(stderr, "dcheck: %v\n", err)
-		return 2
-	}
-	err = runDCheck(ctx, dcheckOpts{
+	err := runDCheck(ctx, dcheckOpts{
 		path: fs.Arg(0), analysis: *analysisName, seed: *seed, trials: *trials,
 		sticky: *sticky, refine: *refine, lintOnly: *lint, costly: *costly,
 		verbose: *verbose, dot: *dot,
 		trialTimeout: *trialTimeout, maxSteps: *maxSteps, retries: *retries,
 		record: *record, replay: *replay, cacheDir: *cacheDir, pcdWorkers: *pcdWorkers,
-		icdEngine: engine,
 		statsJSON: *statsJSON, metricsAddr: *metricsAddr,
 		traceOut: *traceOut, logLevel: *logLevel,
 	}, stdout, stderr)
@@ -136,7 +127,6 @@ type dcheckOpts struct {
 	replay                                 bool
 	cacheDir                               string
 	pcdWorkers                             int
-	icdEngine                              icd.Engine
 	statsJSON                              bool
 	metricsAddr                            string
 	traceOut                               string
@@ -256,7 +246,6 @@ func runDCheck(ctx context.Context, o dcheckOpts, stdout, stderr io.Writer) erro
 					MaxSteps:   o.maxSteps,
 					Telemetry:  reg,
 					PCDWorkers: o.pcdWorkers,
-					ICDEngine:  o.icdEngine,
 				})
 			})
 		if err != nil {
@@ -335,7 +324,7 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 		if err != nil {
 			return err
 		}
-		res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers, ICDEngine: o.icdEngine})
+		res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers})
 		if err != nil {
 			return err
 		}
@@ -377,7 +366,7 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.path, err)
 	}
-	res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers, ICDEngine: o.icdEngine})
+	res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers})
 	if err != nil {
 		return err
 	}

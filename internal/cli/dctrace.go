@@ -446,6 +446,10 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 		fs.PrintDefaults()
 		return errUsage
 	}
+	if *pcdWorkers < 0 {
+		fmt.Fprintf(stderr, "dctrace: -pcd-workers %d is negative\n", *pcdWorkers)
+		return errUsage
+	}
 	analysis, err := core.ParseAnalysis(*analysisName)
 	if err != nil {
 		return err

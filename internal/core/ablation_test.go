@@ -180,22 +180,6 @@ func TestMemoryBudgetOOM(t *testing.T) {
 	}
 }
 
-// TestVelodromeIncrementalConfig smoke-tests the knob through core.
-func TestVelodromeIncrementalConfig(t *testing.T) {
-	prog, atomic := ablationProg()
-	dfs, err := Run(prog, Config{Analysis: Velodrome, Seed: 4, Atomic: atomic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := Run(prog, Config{Analysis: Velodrome, Seed: 4, Atomic: atomic, VelodromeIncremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dfs.Violations) != len(inc.Violations) {
-		t.Errorf("engines disagree: %d vs %d", len(dfs.Violations), len(inc.Violations))
-	}
-}
-
 // TestUnaryOnlyFilterSecondRun exercises the paper's conditional unary
 // instrumentation corner: a filter selecting no methods but flagging unary
 // accesses — the second run then watches only non-transactional code.

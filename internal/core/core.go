@@ -137,15 +137,6 @@ type Config struct {
 	// SCC like a checker panic. It is the pool-side deterministic
 	// fault-injection seam, WrapInst's counterpart.
 	PCDPoolHook func(index uint64, scc []*txn.Txn)
-	// VelodromeIncremental selects the Pearce–Kelly incremental cycle
-	// engine for Velodrome analyses (an extension beyond the paper; exact
-	// same findings, less graph work).
-	VelodromeIncremental bool
-	// ICDEngine selects ICD's deferred-detection engine. The zero value is
-	// icd.EngineIncremental (the amortized condensation); icd.EngineScan
-	// keeps the full per-finish walk for ablation. Findings and reports are
-	// byte-identical either way (the crosscheck harness enforces it).
-	ICDEngine icd.Engine
 	// MemoryBudget, when positive and a Meter is attached, marks the run
 	// out-of-memory once live analysis bytes exceed it — the 32-bit heap
 	// phenomenon of §5.1 (the run continues; Result.Cost.OOM reports it).
@@ -362,12 +353,11 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 
 	case Velodrome, VelodromeUnsound, VeloSecond:
 		opts := velodrome.Options{
-			Unsound:           cfg.Analysis == VelodromeUnsound,
-			InstrumentArrays:  cfg.InstrumentArrays,
-			GCPeriod:          cfg.GCPeriod,
-			IncrementalCycles: cfg.VelodromeIncremental,
-			Telemetry:         cfg.Telemetry,
-			TraceSpan:         tspan,
+			Unsound:          cfg.Analysis == VelodromeUnsound,
+			InstrumentArrays: cfg.InstrumentArrays,
+			GCPeriod:         cfg.GCPeriod,
+			Telemetry:        cfg.Telemetry,
+			TraceSpan:        tspan,
 		}
 		if cfg.InstrumentArrays || cfg.DisableCycleDetection {
 			opts.DisableCycleDetection = true
@@ -386,7 +376,7 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 	case DCSingle, DCFirst, DCSecond, PCDOnly:
 		var p *pcd.Checker
 		logging := cfg.Analysis != DCFirst
-		opts := icd.Options{Logging: logging, GCPeriod: cfg.GCPeriod, Engine: cfg.ICDEngine, Telemetry: cfg.Telemetry, TraceSpan: tspan}
+		opts := icd.Options{Logging: logging, GCPeriod: cfg.GCPeriod, Telemetry: cfg.Telemetry, TraceSpan: tspan}
 		if cfg.InstrumentArrays {
 			opts.InstrumentArrays = true
 			opts.DisableSCC = true

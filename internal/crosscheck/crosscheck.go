@@ -4,7 +4,7 @@
 // determinism contract, and shrinks any counterexample to a minimal
 // standalone trace.
 //
-// Four oracles are checked on every explored execution:
+// Three oracles are checked on every explored execution:
 //
 //  1. Soundness containment (paper §3): every method blamed by a precise
 //     checker appears in ICD's imprecise-cycle over-approximation
@@ -15,9 +15,6 @@
 //  3. Determinism: the rendered replay report, the deterministic telemetry
 //     snapshot, and the violation signatures are byte-identical for every
 //     PCD worker count.
-//  4. Engine agreement: ICD's scan and incremental detection engines render
-//     byte-identical reports and violation signatures (they may do different
-//     amounts of work, never find different things).
 //
 // Executions come from three exploration modes: a budgeted sweep of
 // (workload, seed, scheduler) triples over the workload generators; random
@@ -33,7 +30,6 @@ import (
 	"sort"
 
 	"doublechecker/internal/core"
-	"doublechecker/internal/icd"
 	"doublechecker/internal/spec"
 	"doublechecker/internal/trace"
 	"doublechecker/internal/vm"
@@ -178,15 +174,10 @@ type TripleResult struct {
 	ICDMissed []string `json:"icd_missed,omitempty"`
 	// DetDiag names what diverged when Deterministic is false.
 	DetDiag string `json:"det_diag,omitempty"`
-	// EngineAgree reports oracle 4: scan and incremental ICD engines agree
-	// byte for byte.
-	EngineAgree bool `json:"engine_agree"`
-	// EngineDiag names what diverged when EngineAgree is false.
-	EngineDiag string `json:"engine_diag,omitempty"`
 }
 
 // OK reports whether every oracle passed.
-func (r TripleResult) OK() bool { return r.Agree && r.Deterministic && r.EngineAgree }
+func (r TripleResult) OK() bool { return r.Agree && r.Deterministic }
 
 // Record executes src once under the named scheduler and seed, teeing the
 // event stream into an in-memory trace, and returns the decoded trace. The
@@ -225,7 +216,7 @@ func Record(ctx context.Context, src Source, seed int64, sched NamedScheduler, m
 	return trace.Read(bytes.NewReader(buf.Bytes()))
 }
 
-// CheckData runs all four oracles over one decoded trace.
+// CheckData runs all three oracles over one decoded trace.
 func CheckData(ctx context.Context, d *trace.Data, pcdWorkers []int) (TripleResult, error) {
 	var r TripleResult
 	r.Events = d.Counts.Total()
@@ -244,40 +235,7 @@ func CheckData(ctx context.Context, d *trace.Data, pcdWorkers []int) (TripleResu
 	}
 	r.Deterministic = ok
 	r.DetDiag = diag
-
-	ok, diag, err = CheckEngineAgreement(ctx, d)
-	if err != nil {
-		return r, err
-	}
-	r.EngineAgree = ok
-	r.EngineDiag = diag
 	return r, nil
-}
-
-// CheckEngineAgreement is oracle 4 on its own: replay DoubleChecker
-// single-run mode under each ICD detection engine and require byte-identical
-// rendered reports and violation signatures.
-func CheckEngineAgreement(ctx context.Context, d *trace.Data) (bool, string, error) {
-	var refReport, refSigs string
-	for i, engine := range []icd.Engine{icd.EngineScan, icd.EngineIncremental} {
-		res, err := core.RunTrace(ctx, d, core.Config{Analysis: core.DCSingle, ICDEngine: engine})
-		if err != nil {
-			return false, "", fmt.Errorf("icd-engine=%v: %w", engine, err)
-		}
-		report := core.ReplayReport(d.Header.Source, d, res)
-		sigs := fmt.Sprint(core.ViolationSignatures(res, d.Header.Program))
-		if i == 0 {
-			refReport, refSigs = report, sigs
-			continue
-		}
-		switch {
-		case report != refReport:
-			return false, fmt.Sprintf("report bytes diverge between icd engines (%v vs %v)", engine, icd.EngineScan), nil
-		case sigs != refSigs:
-			return false, fmt.Sprintf("violation signatures diverge between icd engines (%v vs %v)", engine, icd.EngineScan), nil
-		}
-	}
-	return true, "", nil
 }
 
 // CheckDeterminism is oracle 3 on its own: replay DoubleChecker single-run
@@ -343,7 +301,6 @@ type Report struct {
 	Triples        int `json:"triples"`
 	Agreed         int `json:"agreed"`
 	Deterministic  int `json:"deterministic"`
-	EngineAgreed   int `json:"engine_agreed"`
 	WithViolations int `json:"with_violations"`
 	// Failures lists every triple on which an oracle failed; empty means the
 	// sweep found no checker discrepancy.
@@ -361,7 +318,7 @@ func (rep *Report) Summary() string {
 }
 
 // Explore runs a budgeted sweep of (workload, seed, scheduler) triples and
-// checks the four oracles on each. Oracle failures are shrunk and written
+// checks the three oracles on each. Oracle failures are shrunk and written
 // into Options.ReproDir when set.
 func Explore(ctx context.Context, opts Options) (*Report, error) {
 	opts, err := opts.withDefaults()
@@ -387,9 +344,6 @@ func Explore(ctx context.Context, opts Options) (*Report, error) {
 		}
 		if r.Deterministic {
 			rep.Deterministic++
-		}
-		if r.EngineAgree {
-			rep.EngineAgreed++
 		}
 		if r.Violations > 0 {
 			rep.WithViolations++
@@ -418,17 +372,15 @@ type EnumReport struct {
 	// Truncated reports that some run exceeded the step limit, making the
 	// walk exhaustive only up to it.
 	Truncated bool `json:"truncated"`
-	// Agreed, Deterministic and EngineAgreed count interleavings that passed
-	// oracles 1+2, 3 and 4; all equal Interleavings when every oracle held
-	// everywhere.
+	// Agreed and Deterministic count interleavings that passed oracles 1+2
+	// and 3; both equal Interleavings when every oracle held everywhere.
 	Agreed         uint64 `json:"agreed"`
 	Deterministic  uint64 `json:"deterministic"`
-	EngineAgreed   uint64 `json:"engine_agreed"`
 	WithViolations uint64 `json:"with_violations"`
 }
 
 // Enumerate exhaustively walks every interleaving of src (up to stepLimit
-// scheduling decisions per run) and checks the four oracles on each one.
+// scheduling decisions per run) and checks the three oracles on each one.
 // maxRuns caps the walk as a safety net against schedule-tree explosion; 0
 // means no cap.
 func Enumerate(ctx context.Context, src Source, stepLimit int, maxRuns uint64, pcdWorkers []int) (*EnumReport, error) {
@@ -452,9 +404,6 @@ func Enumerate(ctx context.Context, src Source, stepLimit int, maxRuns uint64, p
 		}
 		if r.Deterministic {
 			rep.Deterministic++
-		}
-		if r.EngineAgree {
-			rep.EngineAgreed++
 		}
 		if r.Violations > 0 {
 			rep.WithViolations++

@@ -64,7 +64,7 @@ func TestExplorePlanDeterministic(t *testing.T) {
 }
 
 // TestEnumerateTinyCorpus exhaustively walks every interleaving of every
-// tiny program and checks all four oracles on each one. For these programs
+// tiny program and checks all three oracles on each one. For these programs
 // the soundness and precision theorems are verified over the *entire*
 // schedule space, not a sample.
 func TestEnumerateTinyCorpus(t *testing.T) {
@@ -139,7 +139,7 @@ func TestCheckTripleAcrossSchedulers(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpusOracles runs all four oracles on every committed golden
+// TestGoldenCorpusOracles runs all three oracles on every committed golden
 // trace: the frozen interleavings must satisfy soundness, precision, and
 // pool determinism just like freshly explored ones.
 func TestGoldenCorpusOracles(t *testing.T) {

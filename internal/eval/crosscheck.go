@@ -28,7 +28,7 @@ type CrosscheckData struct {
 	// SeedBase is the sweep's first seed.
 	SeedBase int64 `json:"seed_base"`
 	// Enumerations is the tiny corpus walked exhaustively: every
-	// interleaving of every program, each checked against all four oracles.
+	// interleaving of every program, each checked against all three oracles.
 	Enumerations []crosscheck.EnumReport `json:"enumerations"`
 	// Sweep is the budgeted random/sticky/PCT exploration over the default
 	// source mix.
@@ -38,8 +38,7 @@ type CrosscheckData struct {
 // Crosscheck runs the schedule-exploration cross-checking experiment: the
 // paper's soundness (§3: ICD over-approximates PCD) and precision (§5:
 // DoubleChecker ≡ Velodrome at blamed-method granularity) theorems plus the
-// PCD pool's determinism contract and the scan/incremental ICD engine
-// agreement contract, checked on every explored execution.
+// PCD pool's determinism contract, checked on every explored execution.
 func (r *Runner) Crosscheck() (*CrosscheckData, error) {
 	ctx := context.Background()
 	data := &CrosscheckData{Budget: r.opts.CrosscheckBudget, SeedBase: 1}
@@ -67,14 +66,12 @@ func (r *Runner) Crosscheck() (*CrosscheckData, error) {
 // every swept triple.
 func (d *CrosscheckData) OK() bool {
 	for _, e := range d.Enumerations {
-		if e.Agreed != e.Interleavings || e.Deterministic != e.Interleavings ||
-			e.EngineAgreed != e.Interleavings {
+		if e.Agreed != e.Interleavings || e.Deterministic != e.Interleavings {
 			return false
 		}
 	}
 	return d.Sweep != nil && len(d.Sweep.Failures) == 0 &&
-		d.Sweep.Agreed == d.Sweep.Triples && d.Sweep.Deterministic == d.Sweep.Triples &&
-		d.Sweep.EngineAgreed == d.Sweep.Triples
+		d.Sweep.Agreed == d.Sweep.Triples && d.Sweep.Deterministic == d.Sweep.Triples
 }
 
 // JSON renders the dump as indented JSON; byte-reproducible at a fixed
@@ -93,17 +90,17 @@ func (d *CrosscheckData) JSON() []byte {
 func (d *CrosscheckData) RenderCrosscheck() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cross-checking (budget %d, seed base %d)\n", d.Budget, d.SeedBase)
-	fmt.Fprintf(&b, "%-14s %14s %10s %8s %8s %8s %10s\n",
-		"program", "interleavings", "truncated", "agree", "det", "engines", "violating")
+	fmt.Fprintf(&b, "%-14s %14s %10s %8s %8s %10s\n",
+		"program", "interleavings", "truncated", "agree", "det", "violating")
 	for _, e := range d.Enumerations {
-		fmt.Fprintf(&b, "%-14s %14d %10v %8d %8d %8d %10d\n",
-			e.Source, e.Interleavings, e.Truncated, e.Agreed, e.Deterministic, e.EngineAgreed, e.WithViolations)
+		fmt.Fprintf(&b, "%-14s %14d %10v %8d %8d %10d\n",
+			e.Source, e.Interleavings, e.Truncated, e.Agreed, e.Deterministic, e.WithViolations)
 	}
 	if d.Sweep != nil {
 		fmt.Fprintf(&b, "%s\n", d.Sweep.Summary())
 		for _, f := range d.Sweep.Failures {
-			fmt.Fprintf(&b, "  FAILURE %s: agree=%v det=%v engines=%v %s%s\n",
-				f.Triple, f.Agree, f.Deterministic, f.EngineAgree, f.DetDiag, f.EngineDiag)
+			fmt.Fprintf(&b, "  FAILURE %s: agree=%v det=%v %s\n",
+				f.Triple, f.Agree, f.Deterministic, f.DetDiag)
 		}
 	}
 	return strings.TrimRight(b.String(), "\n")

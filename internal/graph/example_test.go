@@ -6,23 +6,8 @@ import (
 	"doublechecker/internal/graph"
 )
 
-// ExampleIncrementalDAG shows online cycle detection: consistent edges are
-// accepted, the closing edge is reported and rejected.
-func ExampleIncrementalDAG() {
-	d := graph.NewIncrementalDAG[string]()
-	fmt.Println(d.AddEdge("a", "b"))
-	fmt.Println(d.AddEdge("b", "c"))
-	fmt.Println(d.AddEdge("c", "a")) // closes a cycle
-	fmt.Println(d.AddEdge("a", "c")) // still fine: the cycle edge was rejected
-	// Output:
-	// false
-	// false
-	// true
-	// false
-}
-
 // ExampleSCCFrom computes the strongly connected component of a node, the
-// operation ICD performs when a transaction finishes.
+// answer ICD must give when a transaction finishes.
 func ExampleSCCFrom() {
 	adj := map[int][]int{1: {2}, 2: {3}, 3: {1, 4}, 4: nil}
 	comp := graph.SCCFrom(1, func(n int) []int { return adj[n] }, nil)

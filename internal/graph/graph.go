@@ -1,9 +1,22 @@
-// Package graph provides the small set of directed-graph algorithms the
-// atomicity checkers need: Tarjan strongly connected components, depth-first
-// reachability, and explicit cycle extraction.
+// Package graph provides the directed-graph algorithms the atomicity
+// checkers run, plus the reference implementations their tests check them
+// against.
+//
+// Production runs two algorithms, one per cycle question the paper asks:
+//
+//   - IncSCC answers ICD's "is this finished transaction on a cycle of
+//     finished transactions?" (§3.2.3) from an SCC condensation maintained
+//     as edges arrive.
+//   - FindPath answers Velodrome's and PCD's "did this edge close a
+//     cycle?" (§2, §3.3) with a depth-first search that also returns the
+//     witness path a violation report needs.
+//
+// SCCFrom, SCCAll, Reachable and HasSelfLoop are reference implementations
+// (Tarjan components and plain reachability) that the differential tests
+// compare the production answers against; no checker calls them.
 //
 // The algorithms are generic over the node type. Rather than forcing callers
-// to materialize an adjacency structure, every entry point takes a successor
+// to materialize an adjacency structure, the traversals take a successor
 // function. The checkers' dependence graphs (IDG and PDG) store adjacency on
 // the transaction nodes themselves, so a closure over those nodes is the
 // natural representation.
@@ -94,17 +107,6 @@ func FindPath[N comparable](from, to N, succ SuccFunc[N]) []N {
 	return nil
 }
 
-// CycleThrough returns the nodes of a cycle that passes through n, as a path
-// n -> ... -> n with the final repetition of n omitted, or nil if n is not on
-// any cycle. A self-loop yields [n].
-func CycleThrough[N comparable](n N, succ SuccFunc[N]) []N {
-	path := FindPath(n, n, succ)
-	if path == nil {
-		return nil
-	}
-	return path[:len(path)-1]
-}
-
 // tarjanFrame is an explicit DFS stack frame for the iterative Tarjan SCC
 // computation.
 type tarjanFrame[N comparable] struct {
@@ -120,9 +122,9 @@ type tarjanFrame[N comparable] struct {
 // self-loop; otherwise SCCFrom returns nil, meaning root is not part of any
 // cycle in the included subgraph.
 //
-// The checkers call this when a transaction finishes, with include set to
-// "transaction has finished", per the paper's rule that SCC computation
-// explores only finished transactions (§3.2.3).
+// With include set to "transaction has finished and is live", it computes
+// exactly the component ICD must report at a transaction finish (§3.2.3);
+// ICD's tests use it as the reference for IncSCC.
 func SCCFrom[N comparable](root N, succ SuccFunc[N], include func(N) bool) []N {
 	if include != nil && !include(root) {
 		return nil

@@ -80,28 +80,6 @@ func TestFindPathNone(t *testing.T) {
 	}
 }
 
-func TestCycleThrough(t *testing.T) {
-	g := adj(map[int][]int{1: {2}, 2: {3}, 3: {1}, 4: {1}})
-	c := CycleThrough(1, g)
-	if len(c) != 3 {
-		t.Fatalf("expected cycle of 3, got %v", c)
-	}
-	if c[0] != 1 {
-		t.Errorf("cycle should start at 1: %v", c)
-	}
-	if CycleThrough(4, g) != nil {
-		t.Error("4 is not on a cycle")
-	}
-}
-
-func TestCycleThroughSelfLoop(t *testing.T) {
-	g := adj(map[int][]int{7: {7}})
-	c := CycleThrough(7, g)
-	if len(c) != 1 || c[0] != 7 {
-		t.Errorf("self-loop cycle should be [7], got %v", c)
-	}
-}
-
 func TestSCCFromSimpleCycle(t *testing.T) {
 	g := adj(map[int][]int{1: {2}, 2: {1}, 3: {1}})
 	comp := SCCFrom(1, g, nil)

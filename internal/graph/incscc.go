@@ -5,15 +5,15 @@ import (
 	"slices"
 )
 
-// Incremental strongly-connected-component condensation, the amortized
-// engine behind ICD's deferred cycle detection. The structure maintains a
-// Pearce–Kelly online topological order over the *condensation* of the
-// eligible subgraph (components as union–find classes) and, when an edge
-// insertion closes a cycle, collapses every component on a path between the
-// edge's endpoints into one class. Where the scan engine re-runs Tarjan over
-// the whole finished region at every transaction finish — O(N·(V+E)) across a
-// run — this engine pays for each region only when it actually changes,
-// touching the affected order window once per insertion.
+// Incremental strongly-connected-component condensation, the engine behind
+// ICD's deferred cycle detection. The structure maintains a Pearce–Kelly
+// online topological order over the *condensation* of the eligible subgraph
+// (components as union–find classes) and, when an edge insertion closes a
+// cycle, collapses every component on a path between the edge's endpoints
+// into one class. Where re-running Tarjan (SCCFrom) over the whole finished
+// region at every transaction finish costs O(N·(V+E)) across a run, this
+// engine pays for each region only when it actually changes, touching the
+// affected order window once per insertion.
 //
 // Three ICD-specific wrinkles shape the API (paper §3.2.3, §4):
 //
@@ -93,17 +93,10 @@ type pendRef struct {
 	out   bool
 }
 
-// IncSCCStats counts the engine's work, for the cost model and the ablation
-// comparison against the scan engine.
+// IncSCCStats counts the engine's work, for the cost model.
 type IncSCCStats struct {
-	Edges        uint64 // AddEdge calls
-	Eligible     uint64 // edges inserted into the condensation (both ends active)
-	Reorders     uint64 // insertions that disturbed the topological order
 	NodesVisited uint64 // component roots visited during reorder discovery
-	EdgesScanned uint64 // adjacency entries examined during discovery
-	Merges       uint64 // insertions that collapsed components
-	MergedComps  uint64 // components collapsed across all merges
-	Releases     uint64 // nodes released by GC
+	EdgesScanned uint64 // adjacency entries examined during discovery and compaction
 }
 
 // NewIncSCC returns an empty engine. active reports whether a node is
@@ -195,7 +188,6 @@ func (g *IncSCC[N]) resolve(r adjRef) int32 {
 // enters the condensation immediately (possibly collapsing components);
 // otherwise it is parked on an inactive endpoint until Activate drains it.
 func (g *IncSCC[N]) AddEdge(src, dst N) {
-	g.stats.Edges++
 	a := g.ensure(src)
 	b := g.ensure(dst)
 	switch {
@@ -278,7 +270,6 @@ func (g *IncSCC[N]) Release(n N) {
 	if !ok {
 		return
 	}
-	g.stats.Releases++
 	delete(g.ids, n)
 	nd := &g.nodes[s]
 	nd.dead = true
@@ -296,7 +287,6 @@ func (g *IncSCC[N]) Release(n N) {
 // affected window when the order is disturbed, union–find collapse of every
 // component on a b ⇝ a path when the edge closes a cycle.
 func (g *IncSCC[N]) insertEligible(a, b int32) {
-	g.stats.Eligible++
 	ra, rb := g.find(a), g.find(b)
 	if ra == rb {
 		// Internal edge: a single-node component becomes a self-loop cycle;
@@ -310,7 +300,6 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 		g.link(ra, rb)
 		return
 	}
-	g.stats.Reorders++
 	g.op++
 	deltaF := g.forward(rb, ub)
 	cycle := g.nodes[ra].visitF == g.op
@@ -347,7 +336,6 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 	// (below) and the rest of deltaF (above); no edge crosses from the F
 	// side to the B side or into S from the F side — such an edge would put
 	// its endpoints on a b ⇝ a path, i.e. in S.
-	g.stats.Merges++
 	g.sset, g.fx, g.bx = g.sset[:0], g.fx[:0], g.bx[:0]
 	g.pool = g.pool[:0]
 	for _, r := range deltaF {
@@ -389,7 +377,6 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 // final size; compacting down to distinct external components keeps
 // maintenance linear in the true edge count.
 func (g *IncSCC[N]) mergeInto(s []int32, ord int) {
-	g.stats.MergedComps += uint64(len(s))
 	w := s[0]
 	for _, r := range s[1:] {
 		if g.onMerge != nil {

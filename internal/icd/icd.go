@@ -18,8 +18,10 @@
 //
 // Rather than checking for cycles at every edge, ICD defers detection to
 // transaction end (§3.2.3) and computes the strongly connected component of
-// the just-finished transaction, exploring only finished transactions. Any
-// SCC found is handed to the OnSCC callback (PCD, in single-run mode or the
+// the just-finished transaction, exploring only finished transactions. The
+// component comes from an SCC condensation of the IDG maintained as edges
+// arrive (graph.IncSCC), so a finish costs a lookup, not a walk. Any SCC
+// found is handed to the OnSCC callback (PCD, in single-run mode or the
 // second run of multi-run mode) together with the transactions' read/write
 // logs, which ICD records when logging is enabled (§3.2.4).
 package icd
@@ -49,11 +51,6 @@ type Options struct {
 	// GCPeriod runs transaction collection every N instrumented accesses;
 	// 0 uses the default (8192).
 	GCPeriod uint64
-	// Engine selects the detection engine; the zero value is
-	// EngineIncremental. EngineScan keeps the old full-walk behaviour for
-	// ablation (the two must produce byte-identical reports; the crosscheck
-	// harness enforces it).
-	Engine Engine
 	// InstrumentArrays includes array element accesses, conflating all
 	// elements of an array into object-level state (§5.4). The paper
 	// disables cycle detection in that experiment because conflation makes
@@ -101,15 +98,10 @@ type Stats struct {
 	SkipNoEligibleOut  uint64 // skipped: no outgoing edge to a finished transaction
 	SkipNoEligibleIn   uint64 // skipped: no incoming edge from a finished transaction
 	DetectionUnits     uint64 // modelled cost units spent on per-finish cycle detection
-	// MaintenanceUnits is the modelled cost of incremental-engine graph
+	// MaintenanceUnits is the modelled cost of the SCC condensation's graph
 	// upkeep (order maintenance, component merges, adjacency compaction) —
-	// the per-edge work the amortized engine does instead of per-finish
-	// scans. Zero under the scan engine, whose upkeep is free and whose
-	// whole cost lands in DetectionUnits.
+	// the per-edge work that keeps per-finish detection a lookup.
 	MaintenanceUnits uint64
-	// Engine carries the incremental engine's internal work counters
-	// (zero-valued under the scan engine).
-	Engine graph.IncSCCStats
 }
 
 // idgEdgeKind labels which Figure 4 handler produced an IDG edge, for the
@@ -177,9 +169,9 @@ type Checker struct {
 	// threshold on the counts).
 	sccMethods map[vm.MethodID]int
 
-	// inc is the incremental SCC condensation (nil under EngineScan or
-	// DisableSCC). incNodes/incEdges snapshot its work counters so each
-	// interaction charges only the delta.
+	// inc is the incremental SCC condensation (nil under DisableSCC).
+	// incNodes/incEdges snapshot its work counters so each interaction
+	// charges only the delta.
 	inc      *graph.IncSCC[*txn.Txn]
 	incNodes uint64
 	incEdges uint64
@@ -235,7 +227,7 @@ func (c *Checker) configureManager() {
 		// allocating in the steady state.
 		c.mgr.EnableRecycling()
 	}
-	if c.opts.Engine == EngineIncremental && !c.opts.DisableSCC {
+	if !c.opts.DisableSCC {
 		c.inc = graph.NewIncSCC[*txn.Txn](func(t *txn.Txn) bool {
 			return t.Finished && !t.Dead()
 		})
@@ -316,12 +308,11 @@ func (c *Checker) mergeAggs(winner, loser *txn.Txn) {
 	wa.addMember(loser)
 }
 
-// chargeEngine charges the incremental engine's work since the last call to
-// the cost meter, under the same per-node/per-edge prices the scan engine
-// pays. The charge lands in MaintenanceUnits, not DetectionUnits: the
-// engine converts the scan's per-finish detection cost into per-edge graph
-// upkeep, and the two buckets keep that trade visible (icdperf reports
-// detection, maintenance, and their sum for both engines).
+// chargeEngine charges the condensation's work since the last call to the
+// cost meter, at the SCC per-node/per-edge prices. The charge lands in
+// MaintenanceUnits, not DetectionUnits: the engine pays per edge so that
+// per-finish detection stays a lookup, and the two buckets keep that trade
+// visible.
 func (c *Checker) chargeEngine() {
 	st := c.inc.Stats()
 	dn, de := st.NodesVisited-c.incNodes, st.EdgesScanned-c.incEdges
@@ -338,13 +329,7 @@ func (c *Checker) chargeEngine() {
 }
 
 // Stats returns ICD counters.
-func (c *Checker) Stats() Stats {
-	st := c.stats
-	if c.inc != nil {
-		st.Engine = c.inc.Stats()
-	}
-	return st
-}
+func (c *Checker) Stats() Stats { return c.stats }
 
 // TxnStats returns the transaction manager's counters.
 func (c *Checker) TxnStats() txn.Stats { return c.mgr.Stats() }
@@ -542,13 +527,11 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 		return
 	}
 	c.stats.FinishChecks++
-	if c.inc != nil {
-		// The engine must observe every finish even when detection below is
-		// skipped: an eligibility change alone can complete a cycle (all of
-		// the cycle's edges may predate this finish).
-		c.inc.Activate(tx)
-		c.chargeEngine()
-	}
+	// The engine must observe every finish even when detection below is
+	// skipped: an eligibility change alone can complete a cycle (all of the
+	// cycle's edges may predate this finish).
+	c.inc.Activate(tx)
+	c.chargeEngine()
 	// Quick reject (outgoing): a cycle through tx needs an outgoing edge to
 	// an already-finished transaction (all cycle members are finished when
 	// the last one finishes, and detection runs at every finish).
@@ -586,13 +569,11 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 	}
 	var comp []*txn.Txn
 	var size int
-	switch {
-	case c.inc != nil && c.opts.OnSCC == nil:
+	if c.opts.OnSCC == nil {
 		// Aggregate path: nothing downstream needs the member list, so the
 		// component is reported from its maintained aggregate — an O(1)
-		// lookup plus O(distinct methods) of counter folding, where the scan
-		// walks every member at every finish. This is the amortized engine's
-		// detection-time payoff.
+		// lookup plus O(distinct methods) of counter folding, with no member
+		// walk.
 		rep, sz, cyclic, ok := c.inc.Component(tx)
 		if !ok || !cyclic {
 			return
@@ -619,10 +600,10 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 			c.meter.Charge(u)
 			c.stats.DetectionUnits += uint64(u)
 		}
-	case c.inc != nil:
-		// The OnSCC handoff needs the member slice; extraction pays per
-		// member, mirroring the scan's node visits. The slice is retained
-		// downstream, so no backing-array reuse here.
+	} else {
+		// Member path: the OnSCC handoff needs the member slice, so
+		// extraction pays per member. The slice is retained downstream, so no
+		// backing-array reuse here.
 		comp = c.inc.CyclicComponent(tx, nil)
 		if comp == nil {
 			return
@@ -634,22 +615,13 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 			c.meter.Charge(u)
 			c.stats.DetectionUnits += uint64(u)
 		}
-	default:
-		succ := func(t *txn.Txn) []*txn.Txn {
-			c.stats.SCCNodesExplored++
-			if c.meter != nil {
-				u := model.SCCPerNode + model.SCCPerEdge*cost.Units(len(t.Out))
-				c.meter.Charge(u)
-				c.stats.DetectionUnits += uint64(u)
+		for _, member := range comp {
+			if member.Unary {
+				c.stats.UnaryInSCC = true
+			} else if member.Method != vm.NoMethod {
+				c.sccMethods[member.Method]++
 			}
-			return t.Succs()
 		}
-		include := func(t *txn.Txn) bool { return t.Finished && !t.Dead() }
-		comp = graph.SCCFrom(tx, succ, include)
-		if comp == nil {
-			return
-		}
-		size = len(comp)
 	}
 	c.stats.SCCs++
 	c.stats.SCCTxns += uint64(size)
@@ -659,14 +631,7 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 		c.tel.sccTxns.Add(uint64(size))
 		c.tel.sccSize.Observe(uint64(size))
 	}
-	for _, member := range comp {
-		if member.Unary {
-			c.stats.UnaryInSCC = true
-		} else if member.Method != vm.NoMethod {
-			c.sccMethods[member.Method]++
-		}
-	}
-	if c.opts.OnSCC != nil {
+	if comp != nil {
 		c.opts.OnSCC(comp)
 	}
 }

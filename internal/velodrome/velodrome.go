@@ -70,14 +70,6 @@ type Options struct {
 	// GCPeriod runs transaction-graph collection every N instrumented
 	// accesses; 0 uses the default (8192).
 	GCPeriod uint64
-	// IncrementalCycles swaps the per-edge DFS cycle check for an
-	// incremental topological order (Pearce–Kelly; internal/graph). The
-	// hybrid is exact: while no violation has been found the maintained
-	// DAG equals the dependence graph, so its verdicts are sound and
-	// precise; after the first violation the checker falls back to DFS
-	// (cyclic graphs have no topological order). An extension beyond the
-	// paper, compared in the benchmarks.
-	IncrementalCycles bool
 	// Telemetry, when non-nil, receives live Velodrome metrics (metadata
 	// updates, edges, cycle checks, sync fast skips) and the velo.gc span.
 	Telemetry *telemetry.Registry
@@ -128,9 +120,6 @@ type Checker struct {
 	stats      Stats
 	sinceGC    uint64
 
-	inc      *graph.IncrementalDAG[*txn.Txn]
-	incDirty bool // a cycle exists: the incremental order is no longer usable
-
 	tel *tel
 }
 
@@ -148,25 +137,7 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 		c.opts.GCPeriod = 8192
 	}
 	c.mgr = txn.NewManager(false, nil, meter)
-	c.attachIncremental()
 	return c
-}
-
-// attachIncremental (re)creates the incremental cycle engine and mirrors
-// the manager's intra-thread edges into it (cycles can route through
-// program order, so the DAG needs every edge, not just the cross edges the
-// checker adds itself).
-func (c *Checker) attachIncremental() {
-	if !c.opts.IncrementalCycles {
-		return
-	}
-	c.inc = graph.NewIncrementalDAG[*txn.Txn]()
-	c.incDirty = false
-	c.mgr.OnIntraEdge(func(src, dst *txn.Txn) {
-		if !c.incDirty {
-			c.inc.AddEdge(src, dst) // dst is brand new: can never close a cycle
-		}
-	})
 }
 
 // Violations returns the dynamic violations detected, in detection order.
@@ -182,7 +153,6 @@ func (c *Checker) TxnStats() txn.Stats { return c.mgr.Stats() }
 func (c *Checker) ProgramStart(e vm.ExecView) {
 	c.exec = e
 	c.mgr = txn.NewManager(false, e.Now, c.meter)
-	c.attachIncremental()
 }
 
 // TxBegin implements vm.Instrumentation.
@@ -360,20 +330,6 @@ func (c *Checker) addEdge(src, dst *txn.Txn, seq uint64) {
 	c.stats.CycleChecks++
 	if c.tel != nil {
 		c.tel.cycleChecks.Inc()
-	}
-	if c.inc != nil && !c.incDirty {
-		// Incremental engine: exact while the dependence graph is acyclic.
-		before := c.inc.Stats().Visited
-		closed := c.inc.AddEdge(src, dst)
-		visited := c.inc.Stats().Visited - before + 1
-		c.stats.CycleNodesVisited += visited
-		c.charge(c.model().VeloCycleNode * cost.Units(visited))
-		if !closed {
-			return
-		}
-		// A real cycle exists; recover the path for reporting and fall
-		// back to DFS from here on.
-		c.incDirty = true
 	}
 	// The new edge src->dst closes a cycle iff dst reaches src; the
 	// returned path dst -> ... -> src plus the new edge is the cycle.

@@ -354,44 +354,3 @@ func TestStatsPopulated(t *testing.T) {
 		t.Errorf("regular txns = %d, want 2", c.TxnStats().RegularTxns)
 	}
 }
-
-// TestIncrementalCycleEngineAgrees: the Pearce–Kelly hybrid must find
-// exactly what the DFS engine finds, on racy and clean programs alike.
-func TestIncrementalCycleEngineAgrees(t *testing.T) {
-	prog, script, atomic := buildRacyIncrement()
-	dfs := runWith(t, prog, vm.NewScripted(script, true), atomic, Options{})
-	inc := runWith(t, prog, vm.NewScripted(script, true), atomic, Options{IncrementalCycles: true})
-	if len(dfs.Violations()) != len(inc.Violations()) {
-		t.Errorf("dfs %d vs incremental %d violations",
-			len(dfs.Violations()), len(inc.Violations()))
-	}
-	if len(inc.Violations()) == 0 {
-		t.Fatal("the racy interleaving must be found")
-	}
-	if inc.Violations()[0].BlamedMethods[0] != dfs.Violations()[0].BlamedMethods[0] {
-		t.Error("blame must agree")
-	}
-}
-
-func TestIncrementalCycleEngineCleanProgram(t *testing.T) {
-	b := vm.NewBuilder("clean")
-	lk := b.Object()
-	o := b.Object()
-	inc := b.Method("inc")
-	inc.Acquire(lk).Read(o, 0).Write(o, 0).Release(lk)
-	m0 := b.Method("main0")
-	m0.CallN(inc, 25)
-	m1 := b.Method("main1")
-	m1.CallN(inc, 25)
-	b.Thread(m0)
-	b.Thread(m1)
-	prog := b.MustBuild()
-	incID := prog.MethodByName("inc").ID
-	atomic := func(m vm.MethodID) bool { return m == incID }
-	for seed := int64(0); seed < 6; seed++ {
-		c := runWith(t, prog, vm.NewRandom(seed), atomic, Options{IncrementalCycles: true})
-		if len(c.Violations()) != 0 {
-			t.Errorf("seed %d: clean program reported %d violations", seed, len(c.Violations()))
-		}
-	}
-}
