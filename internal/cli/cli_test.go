@@ -220,6 +220,36 @@ func TestDCBenchCSV(t *testing.T) {
 	}
 }
 
+// TestDCBenchRejectsBadNumbers: numeric flags outside their domain exit 2
+// before any experiment runs, instead of printing all-zero tables.
+func TestDCBenchRejectsBadNumbers(t *testing.T) {
+	cases := []struct{ flag, value string }{
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
+		{"-trials", "0"},
+		{"-trials", "-2"},
+		{"-stable", "0"},
+		{"-stable", "-1"},
+		{"-first-runs", "0"},
+		{"-budget-kb", "-1"},
+		{"-crosscheck-budget", "-1"},
+	}
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		code := DCBench([]string{"-experiment", "fig7", "-benchmarks", "tsp", tc.flag, tc.value}, &out, &errb)
+		if code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(errb.String(), tc.flag+" ") {
+			t.Errorf("%s %s: stderr does not name the flag: %q", tc.flag, tc.value, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s: ran anyway:\n%s", tc.flag, tc.value, out.String())
+		}
+	}
+}
+
 func TestDCBenchUnknownExperiment(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := DCBench([]string{"-experiment", "nope"}, &out, &errb); code != 2 {

@@ -45,6 +45,25 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	var bad string
+	switch {
+	case !(*scale > 0):
+		bad = fmt.Sprintf("-scale %v must be positive", *scale)
+	case *trials < 1:
+		bad = fmt.Sprintf("-trials %d must be at least 1", *trials)
+	case *stable < 1:
+		bad = fmt.Sprintf("-stable %d must be at least 1", *stable)
+	case *firstRuns < 1:
+		bad = fmt.Sprintf("-first-runs %d must be at least 1", *firstRuns)
+	case *budget < 0:
+		bad = fmt.Sprintf("-budget-kb %d is negative", *budget)
+	case *xchkBudget < 0:
+		bad = fmt.Sprintf("-crosscheck-budget %d is negative", *xchkBudget)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "dcbench:", bad)
+		return 2
+	}
 	opts := eval.Options{
 		Scale:            *scale,
 		PerfTrials:       *trials,

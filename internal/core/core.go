@@ -224,6 +224,26 @@ func RunContext(ctx context.Context, prog *vm.Program, cfg Config) (*Result, err
 	if sched == nil {
 		sched = vm.NewRandom(cfg.Seed)
 	}
+	return run(ctx, prog, cfg, true, func(ctx context.Context, inst vm.Instrumentation) (vm.Stats, error) {
+		stats, err := vm.NewExec(prog, vm.Config{
+			Sched:    sched,
+			Inst:     inst,
+			Atomic:   cfg.Atomic,
+			Meter:    cfg.Meter,
+			MaxSteps: cfg.MaxSteps,
+		}).RunContext(ctx)
+		return *stats, err
+	})
+}
+
+// run is the one checked-run body behind RunContext and RunTrace: it builds
+// the analysis selected by cfg, feeds it the event stream through drive — a
+// live VM execution or a recorded trace — under the run's single execute
+// span, then harvests the findings. live marks a VM driver, whose stats
+// include the executor steps a trace does not record.
+func run(ctx context.Context, prog *vm.Program, cfg Config, live bool,
+	drive func(context.Context, vm.Instrumentation) (vm.Stats, error)) (*Result, error) {
+
 	if cfg.Meter != nil && cfg.MemoryBudget > 0 {
 		cfg.Meter.SetBudget(cfg.MemoryBudget)
 	}
@@ -240,37 +260,16 @@ func RunContext(ctx context.Context, prog *vm.Program, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-
 	if cfg.WrapInst != nil {
 		inst = cfg.WrapInst(inst)
 	}
-	span := cfg.Telemetry.StartSpan(telemetry.SpanExecute, cfg.Meter)
-	execSpan, _ := obs.StartSpan(ctx, telemetry.SpanExecute)
-	var execCost0 cost.Units
-	if execSpan.Live() && cfg.Meter != nil {
-		execCost0 = cfg.Meter.Total()
+	span := cfg.Telemetry.StartSpan(runSpan, telemetry.SpanExecute, cfg.Meter)
+	res.VMStats, err = drive(ctx, inst)
+	if live {
+		span.SetInt("vm.steps", int64(res.VMStats.Steps))
 	}
-	stats, err := vm.NewExec(prog, vm.Config{
-		Sched:    sched,
-		Inst:     inst,
-		Atomic:   cfg.Atomic,
-		Meter:    cfg.Meter,
-		MaxSteps: cfg.MaxSteps,
-	}).RunContext(ctx)
+	span.SetInt("vm.tx.ends", int64(res.VMStats.TxEnds))
 	span.End()
-	if execSpan.Live() {
-		if stats != nil {
-			execSpan.SetInt("vm.steps", int64(stats.Steps))
-			execSpan.SetInt("vm.tx.ends", int64(stats.TxEnds))
-		}
-		if cfg.Meter != nil {
-			execSpan.SetInt("cost_units", int64(cfg.Meter.Total()-execCost0))
-		}
-	}
-	execSpan.End()
-	if stats != nil {
-		res.VMStats = *stats
-	}
 	if err != nil {
 		abort()
 		res.Telemetry = cfg.Telemetry.Snapshot()
@@ -279,7 +278,7 @@ func RunContext(ctx context.Context, prog *vm.Program, cfg Config) (*Result, err
 	collectSpan, _ := obs.StartSpan(ctx, telemetry.SpanCoreCollect)
 	collect()
 	collectSpan.End()
-	finishResult(res, cfg)
+	finishResult(res, cfg, live)
 	runSpan.SetInt("violations", int64(len(res.Violations)))
 	return res, nil
 }
@@ -287,7 +286,7 @@ func RunContext(ctx context.Context, prog *vm.Program, cfg Config) (*Result, err
 // finishResult derives the cross-analysis summary fields after collect:
 // the union of blamed methods, the meter's report, and the telemetry
 // snapshot.
-func finishResult(res *Result, cfg Config) {
+func finishResult(res *Result, cfg Config, live bool) {
 	for _, v := range res.Violations {
 		for _, m := range v.BlamedMethods {
 			res.BlamedMethods[m] = true
@@ -297,28 +296,32 @@ func finishResult(res *Result, cfg Config) {
 	if cfg.Meter != nil {
 		res.Cost = cfg.Meter.Report()
 	}
-	if cfg.Telemetry != nil {
-		publishRunTelemetry(cfg.Telemetry, res)
-		res.Telemetry = cfg.Telemetry.Snapshot()
-	}
+	publishRunTelemetry(cfg.Telemetry, res, live, cfg.Meter != nil)
+	res.Telemetry = cfg.Telemetry.Snapshot()
 }
 
 // publishRunTelemetry pushes the end-of-run summary quantities into the
 // registry: the VM's ground-truth totals (counters: they accumulate when the
 // registry is shared across runs) and latest-run summary gauges (aborted
-// transactions, modelled cost, PCD's replayed-transaction fraction).
-func publishRunTelemetry(reg *telemetry.Registry, res *Result) {
+// transactions, modelled cost, PCD's replayed-transaction fraction). Steps
+// are published by live runs only and modelled cost by metered runs only,
+// so neither reads a placeholder zero.
+func publishRunTelemetry(reg *telemetry.Registry, res *Result, live, metered bool) {
 	s := &res.VMStats
-	reg.Counter(telemetry.VMSteps).Add(s.Steps)
+	if live {
+		reg.Counter(telemetry.VMSteps).Add(s.Steps)
+	}
 	reg.Counter(telemetry.VMFieldAccesses).Add(s.FieldAccesses)
 	reg.Counter(telemetry.VMArrayAccesses).Add(s.ArrayAccesses)
 	reg.Counter(telemetry.VMSyncAccesses).Add(s.SyncAccesses)
 	reg.Counter(telemetry.VMRegularTx).Add(s.RegularTx)
 	reg.Counter(telemetry.VMTxEnds).Add(s.TxEnds)
 	reg.Gauge(telemetry.VMAbortedTx).Set(float64(s.AbortedTx()))
-	reg.Gauge(telemetry.CostTotal).Set(float64(res.Cost.Total))
-	reg.Gauge(telemetry.CostGC).Set(float64(res.Cost.GC))
-	reg.Gauge(telemetry.CostPeak).Set(float64(res.Cost.PeakBytes))
+	if metered {
+		reg.Gauge(telemetry.CostTotal).Set(float64(res.Cost.Total))
+		reg.Gauge(telemetry.CostGC).Set(float64(res.Cost.GC))
+		reg.Gauge(telemetry.CostPeak).Set(float64(res.Cost.PeakBytes))
+	}
 	if res.Cost.OOM {
 		reg.Gauge(telemetry.CostOOM).Set(1)
 	}

@@ -156,6 +156,9 @@ func TestPCDPoolQuarantine(t *testing.T) {
 	if q.Index != 0 || q.Err == "" || q.Digest == "" {
 		t.Errorf("quarantine record incomplete: %+v", q)
 	}
+	if got := r.Telemetry.Counter(telemetry.PCDPoolQuarantined); got != 1 {
+		t.Errorf("%s = %d, want 1", telemetry.PCDPoolQuarantined, got)
+	}
 	if r.ICD.SCCs < 2 {
 		t.Fatalf("workload produced %d SCCs; test needs several", r.ICD.SCCs)
 	}

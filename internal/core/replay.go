@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"doublechecker/internal/cost"
-	"doublechecker/internal/obs"
 	"doublechecker/internal/telemetry"
 	"doublechecker/internal/trace"
 	"doublechecker/internal/txn"
@@ -37,52 +35,9 @@ func RunTrace(ctx context.Context, d *trace.Data, cfg Config) (*Result, error) {
 	if cfg.Atomic == nil {
 		cfg.Atomic = d.Header.AtomicSet()
 	}
-	if cfg.Meter != nil && cfg.MemoryBudget > 0 {
-		cfg.Meter.SetBudget(cfg.MemoryBudget)
-	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	res := &Result{Analysis: cfg.Analysis, BlamedMethods: make(map[vm.MethodID]bool)}
-	res.VMStats = statsFromCounts(d.Counts)
-
-	runSpan, ctx := obs.StartSpan(ctx, telemetry.SpanCoreRun)
-	runSpan.SetStr("analysis", cfg.Analysis.String())
-	defer runSpan.End()
-
-	inst, collect, abort, err := buildAnalysis(ctx, d.Header.Program, cfg, res)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.WrapInst != nil {
-		inst = cfg.WrapInst(inst)
-	}
-	span := cfg.Telemetry.StartSpan(telemetry.SpanExecute, cfg.Meter)
-	execSpan, _ := obs.StartSpan(ctx, telemetry.SpanExecute)
-	var execCost0 cost.Units
-	if execSpan.Live() && cfg.Meter != nil {
-		execCost0 = cfg.Meter.Total()
-	}
-	err = trace.Replay(ctx, d, inst)
-	span.End()
-	if execSpan.Live() {
-		execSpan.SetInt("vm.tx.ends", int64(res.VMStats.TxEnds))
-		if cfg.Meter != nil {
-			execSpan.SetInt("cost_units", int64(cfg.Meter.Total()-execCost0))
-		}
-	}
-	execSpan.End()
-	if err != nil {
-		abort()
-		res.Telemetry = cfg.Telemetry.Snapshot()
-		return res, err
-	}
-	collectSpan, _ := obs.StartSpan(ctx, telemetry.SpanCoreCollect)
-	collect()
-	collectSpan.End()
-	finishResult(res, cfg)
-	runSpan.SetInt("violations", int64(len(res.Violations)))
-	return res, nil
+	return run(ctx, d.Header.Program, cfg, false, func(ctx context.Context, inst vm.Instrumentation) (vm.Stats, error) {
+		return statsFromCounts(d.Counts), trace.Replay(ctx, d, inst)
+	})
 }
 
 // statsFromCounts lifts a trace's event counts into the vm.Stats shape so

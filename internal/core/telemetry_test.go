@@ -39,7 +39,9 @@ func TestTraceTelemetryDeterministic(t *testing.T) {
 			if !bytes.Equal(a, b) {
 				t.Errorf("replays diverge:\n%s\nvs\n%s", a, b)
 			}
-			if !strings.Contains(string(a), telemetry.VMSteps) {
+			// vm.steps is live-only (a trace records no steps); the
+			// event-derived vm counters are what a replay publishes.
+			if !strings.Contains(string(a), telemetry.VMTxEnds) {
 				t.Errorf("snapshot missing vm counters:\n%s", a)
 			}
 		})

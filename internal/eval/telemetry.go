@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"doublechecker/internal/core"
+	"doublechecker/internal/cost"
 	"doublechecker/internal/telemetry"
 )
 
@@ -35,9 +36,10 @@ type TelemetryData struct {
 const telemetrySeed = 1
 
 // Telemetry runs every benchmark once under single-run mode (paper-style
-// initial specification) and collects each run's telemetry snapshot: the
-// Octet transition mix, IDG composition, SCC size distribution, PCD replay
-// fraction, and phase cost spans that back the paper's quantitative claims.
+// initial specification), metered like every Figure 7 run, and collects
+// each run's telemetry snapshot: the Octet transition mix, IDG composition,
+// SCC size distribution, PCD replay fraction, modelled cost, and the phase
+// spans' cost units that back the paper's quantitative claims.
 func (r *Runner) Telemetry() (*TelemetryData, error) {
 	data := &TelemetryData{Scale: r.opts.Scale, Seed: telemetrySeed}
 	for _, name := range r.opts.Benchmarks {
@@ -45,7 +47,7 @@ func (r *Runner) Telemetry() (*TelemetryData, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.run(name, core.DCSingle, initial, telemetrySeed, nil, nil)
+		res, err := r.run(name, core.DCSingle, initial, telemetrySeed, cost.NewMeter(cost.Default()), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -74,10 +74,10 @@ type Options struct {
 	// icd.scc / icd.gc phase spans; the registry is also attached to the
 	// underlying Octet engine.
 	Telemetry *telemetry.Registry
-	// TraceSpan is the request-scoped parent span for this checker's obs
-	// spans (SCC detections, GC passes). The zero Span — the default —
-	// disables them at no cost; the registry above keeps aggregating either
-	// way.
+	// TraceSpan is the request-scoped parent under which the icd.scc and
+	// icd.gc phase spans also appear in the trace tree. The zero Span — the
+	// default — keeps them out of any trace at no cost; the registry above
+	// keeps aggregating either way.
 	TraceSpan obs.Span
 }
 
@@ -555,14 +555,8 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 		return
 	}
 	c.stats.SCCDetections++
-	span := c.opts.Telemetry.StartSpan(telemetry.SpanICDSCC, c.meter)
+	span := c.opts.Telemetry.StartSpan(c.opts.TraceSpan, telemetry.SpanICDSCC, c.meter)
 	defer span.End()
-	osp := c.opts.TraceSpan.Child(telemetry.SpanICDSCC)
-	var ocost0 cost.Units
-	if osp.Live() && c.meter != nil {
-		ocost0 = c.meter.Total()
-	}
-	defer c.endPhaseSpan(osp, ocost0)
 	model := cost.Model{}
 	if c.meter != nil {
 		model = c.meter.Model()
@@ -625,7 +619,7 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 	}
 	c.stats.SCCs++
 	c.stats.SCCTxns += uint64(size)
-	osp.SetInt("scc_txns", int64(size))
+	span.SetInt("scc_txns", int64(size))
 	if c.tel != nil {
 		c.tel.sccs.Inc()
 		c.tel.sccTxns.Add(uint64(size))
@@ -639,14 +633,8 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 // collect garbage-collects transactions unreachable from the ICD roots:
 // thread currents (implicit), lastRdEx, and gLastRdSh.
 func (c *Checker) collect() {
-	span := c.opts.Telemetry.StartSpan(telemetry.SpanICDGC, c.meter)
+	span := c.opts.Telemetry.StartSpan(c.opts.TraceSpan, telemetry.SpanICDGC, c.meter)
 	defer span.End()
-	osp := c.opts.TraceSpan.Child(telemetry.SpanICDGC)
-	var ocost0 cost.Units
-	if osp.Live() && c.meter != nil {
-		ocost0 = c.meter.Total()
-	}
-	defer c.endPhaseSpan(osp, ocost0)
 	roots := c.rootsBuf[:0]
 	for _, tx := range c.lastRdEx {
 		roots = append(roots, tx)
@@ -656,20 +644,6 @@ func (c *Checker) collect() {
 	}
 	c.mgr.Collect(roots)
 	c.rootsBuf = roots[:0]
-}
-
-// endPhaseSpan closes a request-scoped phase span, charging the meter's
-// cost delta since cost0 as an attribute. A non-live span costs one branch
-// (the deferred call is open-coded, so the disabled path stays
-// allocation-free on the per-transaction detection path).
-func (c *Checker) endPhaseSpan(osp obs.Span, cost0 cost.Units) {
-	if !osp.Live() {
-		return
-	}
-	if c.meter != nil {
-		osp.SetInt("cost_units", int64(c.meter.Total()-cost0))
-	}
-	osp.End()
 }
 
 // Manager exposes the transaction manager (the PCD-only configuration needs

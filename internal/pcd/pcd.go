@@ -56,7 +56,6 @@ type Stats struct {
 
 // tel holds pre-resolved telemetry handles (nil when no registry attached).
 type tel struct {
-	reg      *telemetry.Registry
 	sccs     *telemetry.Counter
 	txns     *telemetry.Counter
 	txnsSent *telemetry.Counter
@@ -78,6 +77,7 @@ type Checker struct {
 	deferred   bool                // shard mode: record Finds, defer dedup/blame
 	finds      []Find
 	stats      Stats
+	reg        *telemetry.Registry // nil: no metrics, phase spans trace only
 	tel        *tel
 	tspan      obs.Span // request-scoped parent for pcd.replay spans
 	tempBytes  int64    // live replay temporaries (released per Process)
@@ -89,11 +89,13 @@ func (c *Checker) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
+	c.reg = reg
 	c.tel = newTel(reg)
 }
 
-// SetTraceSpan attaches a request-scoped parent span: Process then opens a
-// pcd.replay obs child per SCC. The zero Span (the default) disables them.
+// SetTraceSpan attaches a request-scoped parent span: each SCC's pcd.replay
+// phase span — and the pcd.blame spans nested in it — then also appear in
+// the trace tree. The zero Span (the default) keeps them out.
 func (c *Checker) SetTraceSpan(sp obs.Span) { c.tspan = sp }
 
 // newTel resolves the full PCD handle set eagerly. The pool calls it too
@@ -102,7 +104,6 @@ func (c *Checker) SetTraceSpan(sp obs.Span) { c.tspan = sp }
 // Deterministic() snapshot contract.
 func newTel(reg *telemetry.Registry) *tel {
 	return &tel{
-		reg:      reg,
 		sccs:     reg.Counter(telemetry.PCDSCCs),
 		txns:     reg.Counter(telemetry.PCDTxns),
 		txnsSent: reg.Counter(telemetry.PCDTxnsSent),
@@ -270,22 +271,13 @@ type segState struct {
 func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	c.stats.SCCsProcessed++
 	c.stats.TxnsProcessed += uint64(len(scc))
-	var span telemetry.Span
+	span := c.reg.StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
+	defer span.End()
+	span.SetInt("scc_txns", int64(len(scc)))
 	if c.tel != nil {
-		span = c.tel.reg.StartSpan(telemetry.SpanPCDReplay, c.meter)
-		defer span.End()
 		c.tel.sccs.Inc()
 		c.tel.txns.Add(uint64(len(scc)))
 	}
-	osp := c.tspan.Child(telemetry.SpanPCDReplay)
-	var ocost0 cost.Units
-	if osp.Live() {
-		osp.SetInt("scc_txns", int64(len(scc)))
-		if c.meter != nil {
-			ocost0 = c.meter.Total()
-		}
-	}
-	defer c.endReplaySpan(osp, ocost0)
 
 	inSCC := make(map[*txn.Txn]bool, len(scc))
 	for _, tx := range scc {
@@ -393,21 +385,21 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 
 		if e.Write {
 			if w := lastWrite[key]; w != nil && w.Thread != cur.Thread {
-				found = c.addPDGEdge(g, w, cur, e.Seq, found)
+				found = c.addPDGEdge(span.Trace(), g, w, cur, e.Seq, found)
 			}
 			// Readers in thread order: a write racing several readers inserts
 			// its anti-dependence edges — and so detects cycles — in a fixed
 			// sequence, keeping replay deterministic (map iteration is not).
 			for _, t := range sortedThreads(lastReads[key]) {
 				if t != cur.Thread {
-					found = c.addPDGEdge(g, lastReads[key][t], cur, e.Seq, found)
+					found = c.addPDGEdge(span.Trace(), g, lastReads[key][t], cur, e.Seq, found)
 				}
 			}
 			lastWrite[key] = cur
 			delete(lastReads, key)
 		} else {
 			if w := lastWrite[key]; w != nil && w.Thread != cur.Thread {
-				found = c.addPDGEdge(g, w, cur, e.Seq, found)
+				found = c.addPDGEdge(span.Trace(), g, w, cur, e.Seq, found)
 			}
 			m := lastReads[key]
 			if m == nil {
@@ -428,8 +420,9 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 }
 
 // addPDGEdge inserts a precise dependence edge and checks for a cycle
-// through it.
-func (c *Checker) addPDGEdge(g *pdg, src, dst *txn.Txn, seq uint64, found []txn.Violation) []txn.Violation {
+// through it. replay is the trace handle of the enclosing pcd.replay span,
+// the parent of a found cycle's pcd.blame span.
+func (c *Checker) addPDGEdge(replay obs.Span, g *pdg, src, dst *txn.Txn, seq uint64, found []txn.Violation) []txn.Violation {
 	if !g.add(src, dst, seq) {
 		return found
 	}
@@ -467,27 +460,12 @@ func (c *Checker) addPDGEdge(g *pdg, src, dst *txn.Txn, seq uint64, found []txn.
 		return found
 	}
 	c.seen[key] = true
-	var blame telemetry.Span
-	if c.tel != nil {
-		blame = c.tel.reg.StartSpan(telemetry.SpanPCDBlame, c.meter)
-	}
+	// Blame charges no cost units, so its span carries no meter.
+	blame := c.reg.StartSpan(replay, telemetry.SpanPCDBlame, nil)
 	v := txn.NewViolationWith(path, seq, g.order)
 	blame.End()
 	c.violations = append(c.violations, v)
 	return append(found, v)
-}
-
-// endReplaySpan closes a pcd.replay obs span, charging the meter's cost
-// delta since cost0 as an attribute; open-coded as a method defer so the
-// disabled path stays allocation-free.
-func (c *Checker) endReplaySpan(osp obs.Span, cost0 cost.Units) {
-	if !osp.Live() {
-		return
-	}
-	if c.meter != nil {
-		osp.SetInt("cost_units", int64(c.meter.Total()-cost0))
-	}
-	osp.End()
 }
 
 // sortedThreads returns a reader map's thread keys in ascending order.

@@ -65,10 +65,12 @@ type PoolConfig struct {
 	// panic in it is quarantined exactly like a checker panic. It is the
 	// pool's deterministic fault-injection seam (compare core.Config.WrapInst).
 	Hook func(index uint64, scc []*txn.Txn)
-	// TraceSpan is the request-scoped parent for the pool's obs spans: the
-	// VM-thread hand-off and the per-worker replays. The zero Span — the
-	// default — disables them; the resulting timeline is what makes the
-	// off-critical-path claim visible per request.
+	// TraceSpan is the request-scoped parent under which the pool's phase
+	// spans also appear in the trace tree: the VM-thread hand-off, the
+	// per-worker jobs with their nested pcd.replay, and merge-time
+	// pcd.blame. The zero Span — the default — keeps them out; the
+	// resulting timeline is what makes the off-critical-path claim visible
+	// per request.
 	TraceSpan obs.Span
 }
 
@@ -185,16 +187,10 @@ func NewPool(cfg PoolConfig) *Pool {
 // point. It runs on the VM thread, snapshots the SCC before publishing, and
 // blocks when the queue is full.
 func (p *Pool) Submit(scc []*txn.Txn) {
-	var span telemetry.Span
-	if p.reg != nil {
-		span = p.reg.StartSpan(telemetry.SpanPCDHandoff, p.cfg.MainMeter)
-	}
-	osp := p.cfg.TraceSpan.Child(telemetry.SpanPCDHandoff)
+	span := p.reg.StartSpan(p.cfg.TraceSpan, telemetry.SpanPCDHandoff, p.cfg.MainMeter)
 	clone, entries := snapshotSCC(scc)
-	if osp.Live() {
-		osp.SetInt("entries", int64(entries))
-		osp.SetInt("scc_txns", int64(len(scc)))
-	}
+	span.SetInt("entries", int64(entries))
+	span.SetInt("scc_txns", int64(len(scc)))
 	if p.cfg.MainMeter != nil {
 		p.cfg.MainMeter.ChargeN(p.cfg.MainMeter.Model().PCDHandoffPerEntry, int64(entries))
 	}
@@ -218,7 +214,6 @@ func (p *Pool) Submit(scc []*txn.Txn) {
 		}
 	}
 	span.End()
-	osp.End()
 	p.jobs <- job
 }
 
@@ -248,19 +243,14 @@ func (p *Pool) worker(id int) {
 // runJob replays one SCC on a fresh shard, quarantining panics to the job.
 func (p *Pool) runJob(worker int, job poolJob) (res jobResult) {
 	res.index = job.index
-	var span telemetry.Span
-	if p.reg != nil {
-		span = p.reg.StartSpan(telemetry.SpanPCDPoolWorker+strconv.Itoa(worker), nil)
-		defer span.End()
-	}
-	osp := p.cfg.TraceSpan.Child(telemetry.SpanPCDPoolWorker + strconv.Itoa(worker))
-	if osp.Live() {
-		osp.SetInt("index", int64(job.index))
-		osp.SetInt("scc_txns", int64(len(job.scc)))
-	}
+	// The worker span carries no meter: the job's meter is cut below, and
+	// its units are the nested pcd.replay span's.
+	span := p.reg.StartSpan(p.cfg.TraceSpan, telemetry.SpanPCDPoolWorker+strconv.Itoa(worker), nil)
+	span.SetInt("index", int64(job.index))
+	span.SetInt("scc_txns", int64(len(job.scc)))
 	// Registered before the recover below (LIFO), so the span closes even
 	// when the replay panics into quarantine.
-	defer osp.End()
+	defer span.End()
 	defer func() {
 		if r := recover(); r != nil {
 			res.quar = &Quarantine{
@@ -269,7 +259,7 @@ func (p *Pool) runJob(worker int, job poolJob) (res jobResult) {
 				Err:    fmt.Sprint(r),
 				Digest: supervise.PanicDigest(debug.Stack()),
 			}
-			osp.SetStr("quarantined", res.quar.Digest)
+			span.SetStr("quarantined", res.quar.Digest)
 			if p.quarCtr != nil {
 				p.quarCtr.Inc()
 			}
@@ -286,9 +276,8 @@ func (p *Pool) runJob(worker int, job poolJob) (res jobResult) {
 		}
 	}
 	sh := NewShard(meter, p.cfg.Order)
-	if p.reg != nil {
-		sh.SetTelemetry(p.reg)
-	}
+	sh.SetTelemetry(p.reg)
+	sh.SetTraceSpan(span.Trace())
 	sh.Process(job.scc)
 	res.finds = sh.TakeFinds()
 	res.stats = sh.Stats()
@@ -370,10 +359,7 @@ func (p *Pool) merge() *Merged {
 				continue
 			}
 			seen[key] = true
-			var blame telemetry.Span
-			if p.reg != nil {
-				blame = p.reg.StartSpan(telemetry.SpanPCDBlame, nil)
-			}
+			blame := p.reg.StartSpan(p.cfg.TraceSpan, telemetry.SpanPCDBlame, nil)
 			v := f.Violation()
 			blame.End()
 			m.Violations = append(m.Violations, v)

@@ -24,7 +24,8 @@ func promName(name string) string {
 
 // WriteProm writes the registry's current state in the Prometheus text
 // exposition format (version 0.0.4): counters, gauges, histograms with
-// cumulative le buckets, and spans as a count/cost/wall metric triple.
+// cumulative le buckets, and spans as count, cost (metered phases only) and
+// wall metrics.
 func (r *Registry) WriteProm(w io.Writer) {
 	if r == nil {
 		return
@@ -54,7 +55,9 @@ func (r *Registry) WriteProm(w io.Writer) {
 		sp := s.Spans[n]
 		pn := "dc_span_" + promName(n)
 		fmt.Fprintf(w, "# TYPE %s_count counter\n%s_count %d\n", pn, pn, sp.Count)
-		fmt.Fprintf(w, "# TYPE %s_cost_units counter\n%s_cost_units %d\n", pn, pn, sp.CostUnits)
+		if sp.CostUnits != nil {
+			fmt.Fprintf(w, "# TYPE %s_cost_units counter\n%s_cost_units %d\n", pn, pn, *sp.CostUnits)
+		}
 		fmt.Fprintf(w, "# TYPE %s_wall_seconds counter\n%s_wall_seconds %g\n", pn, pn, float64(sp.WallNanos)/1e9)
 	}
 }

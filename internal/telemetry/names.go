@@ -49,9 +49,10 @@ const (
 	VeloMetadataUpdates = "velo.metadata_updates"
 	VeloEdges           = "velo.edges"
 	VeloCycleChecks     = "velo.cycle_checks"
-	VeloSyncFastSkips   = "velo.sync_fast_skips"
+	VeloSyncFastSkips   = "velo.sync_fast_skips" // unsound variant only
 
-	// Executor ground truth.
+	// Executor ground truth. Steps are executor-internal and a trace does
+	// not record them, so only live runs publish VMSteps.
 	VMSteps         = "vm.steps"
 	VMFieldAccesses = "vm.accesses.field"
 	VMArrayAccesses = "vm.accesses.array"
@@ -60,7 +61,8 @@ const (
 	VMTxEnds        = "vm.tx.ends"
 	VMAbortedTx     = "vm.aborted_tx"
 
-	// Modelled cost (cost.Report mirror).
+	// Modelled cost (cost.Report mirror), published only by runs with a
+	// meter attached.
 	CostTotal = "cost.total_units"
 	CostGC    = "cost.gc_units"
 	CostPeak  = "cost.peak_bytes"
@@ -107,7 +109,9 @@ const (
 	SuperviseRecovered  = "supervise.recovered"
 )
 
-// Span (pipeline phase) names, in pipeline order.
+// Span (pipeline phase) names, in pipeline order. Each is opened only
+// through Registry.StartSpan, so one name means one pipeline stage in both
+// the cumulative registry and a per-request trace.
 const (
 	SpanExecute   = "execute"    // whole instrumented execution or trace replay
 	SpanICDSCC    = "icd.scc"    // deferred SCC detection at transaction end
@@ -123,13 +127,12 @@ const (
 	SpanPCDPoolWorker = "pcd.pool.worker." // prefix; the worker index is appended
 )
 
-// Request-scoped trace span names (internal/obs). The aggregate phase
-// names above double as obs span names at the same call sites, so one
-// name means one pipeline stage in both the cumulative registry and a
-// per-request timeline; the names below exist only as obs spans — they
-// mark request plumbing (queueing, coalescing, caching, supervision)
-// that has no aggregate-phase counterpart. DESIGN.md §13 maps all of
-// them to pipeline stages and paper quantities.
+// Request-scoped trace span names (internal/obs). The phase spans above
+// reach the trace through Registry.StartSpan; the names below exist only
+// as obs spans, opened with obs.StartSpan — they mark request plumbing
+// (queueing, coalescing, caching, supervision) that has no aggregate-phase
+// counterpart. DESIGN.md §13 maps all of them to pipeline stages and paper
+// quantities.
 const (
 	SpanCoreRun      = "core.run"             // one checked execution or replay, end to end
 	SpanCoreCollect  = "core.collect"         // post-execution harvest (incl. PCD pool drain)

@@ -18,8 +18,10 @@ type HistogramSnapshot struct {
 
 // SpanSnapshot is one phase's accumulated span totals.
 type SpanSnapshot struct {
-	Count     uint64 `json:"count"`
-	CostUnits int64  `json:"cost_units"`
+	Count uint64 `json:"count"`
+	// CostUnits is nil when no occurrence of the phase ran under a meter:
+	// an unmetered phase reports no cost rather than a zero.
+	CostUnits *int64 `json:"cost_units,omitempty"`
 	// WallNanos is the only nondeterministic field in a snapshot; it is
 	// stripped by Deterministic().
 	WallNanos int64 `json:"wall_ns,omitempty"`
@@ -64,11 +66,12 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	for n, sp := range r.spans {
-		s.Spans[n] = SpanSnapshot{
-			Count:     sp.count.Load(),
-			CostUnits: sp.costUnits.Load(),
-			WallNanos: sp.wallNanos.Load(),
+		snap := SpanSnapshot{Count: sp.count.Load(), WallNanos: sp.wallNanos.Load()}
+		if sp.metered.Load() {
+			units := sp.costUnits.Load()
+			snap.CostUnits = &units
 		}
+		s.Spans[n] = snap
 	}
 	return s
 }

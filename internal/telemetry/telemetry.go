@@ -1,8 +1,17 @@
 // Package telemetry is the unified observability layer of this
 // reproduction: a lock-cheap registry of typed counters, gauges, and
-// fixed-bucket histograms, plus a phase-span API that charges wall time and
-// cost-model units to named pipeline stages (execute → octet barriers → IDG
-// build → SCC → PCD replay → blame).
+// fixed-bucket histograms, plus the phase span that charges wall time and
+// cost-model units to named pipeline stages (execute → SCC detection → PCD
+// replay → blame, plus graph collection).
+//
+// Registry.StartSpan is the only way a checker phase is measured. One span
+// takes one start time and one cost snapshot and feeds three sinks: the
+// registry's per-phase aggregate, a child span in the request's trace tree
+// (internal/obs) when the caller passes a live parent, and — through that
+// trace — the flight recorder. The sinks therefore agree by construction on
+// how often each phase ran and what it cost. Request plumbing that has no
+// aggregate (core.run, server.*, store.*, supervise.*) uses obs.StartSpan
+// directly.
 //
 // The paper's whole argument is quantitative — the Octet transition mix
 // (Table 1 / Figure 4), IDG size, SCC count and size distribution (§5), and

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"doublechecker/internal/cost"
+	"doublechecker/internal/obs"
 )
 
 // TestCounterConcurrent hammers one counter and one histogram from many
@@ -78,7 +81,7 @@ func TestNilRegistry(t *testing.T) {
 	reg.Counter("c").Inc()
 	reg.Gauge("g").Set(1.5)
 	reg.Histogram("h", []uint64{1}).Observe(2)
-	sp := reg.StartSpan("phase", nil)
+	sp := reg.StartSpan(obs.Span{}, "phase", nil)
 	sp.End()
 	s := reg.Snapshot()
 	if len(s.Counters) != 0 || len(s.Spans) != 0 {
@@ -99,7 +102,7 @@ func TestNilRegistry(t *testing.T) {
 func TestSpanAccumulates(t *testing.T) {
 	reg := NewRegistry()
 	for i := 0; i < 3; i++ {
-		sp := reg.StartSpan("execute", nil)
+		sp := reg.StartSpan(obs.Span{}, "execute", nil)
 		time.Sleep(time.Millisecond)
 		sp.End()
 	}
@@ -110,6 +113,9 @@ func TestSpanAccumulates(t *testing.T) {
 	}
 	if got.WallNanos <= 0 {
 		t.Errorf("span wall = %d, want > 0", got.WallNanos)
+	}
+	if got.CostUnits != nil {
+		t.Errorf("unmetered span reports %d cost units, want none", *got.CostUnits)
 	}
 	det := s.Deterministic()
 	if det.Spans["execute"].WallNanos != 0 {
@@ -123,6 +129,27 @@ func TestSpanAccumulates(t *testing.T) {
 	}
 }
 
+// TestPhaseSpanZeroAlloc: an untraced phase span — StartSpan, SetInt, End —
+// allocates nothing, with no registry and with a live one (once the phase's
+// first occurrence has created its aggregate). ICD opens one per SCC
+// detection and GC pass.
+func TestPhaseSpanZeroAlloc(t *testing.T) {
+	meter := cost.NewMeter(cost.Default())
+	for _, tc := range []struct {
+		name string
+		reg  *Registry
+	}{{"nil-registry", nil}, {"live-registry", NewRegistry()}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := tc.reg.StartSpan(obs.Span{}, SpanICDSCC, meter)
+			sp.SetInt("scc_txns", 3)
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: phase span allocates %.1f per op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestSnapshotJSONStable: two registries fed identical operations encode to
 // byte-identical deterministic JSON, regardless of insertion order.
 func TestSnapshotJSONStable(t *testing.T) {
@@ -133,7 +160,7 @@ func TestSnapshotJSONStable(t *testing.T) {
 		}
 		reg.Gauge("frac").Set(0.5)
 		reg.Histogram("sizes", []uint64{2, 4}).Observe(3)
-		sp := reg.StartSpan("phase", nil)
+		sp := reg.StartSpan(obs.Span{}, "phase", nil)
 		sp.End()
 		return reg.Snapshot().Deterministic().JSON()
 	}
@@ -154,9 +181,18 @@ func TestWriteProm(t *testing.T) {
 	h.Observe(2)
 	h.Observe(3)
 	h.Observe(9)
+	meter := cost.NewMeter(cost.Default())
+	sp := reg.StartSpan(obs.Span{}, "icd.scc", meter)
+	meter.Charge(7)
+	sp.End()
+	reg.StartSpan(obs.Span{}, "pcd.blame", nil).End()
 	var buf bytes.Buffer
 	reg.WriteProm(&buf)
 	out := buf.String()
+	// Only a metered phase exports a cost line.
+	if strings.Contains(out, "dc_span_pcd_blame_cost_units") {
+		t.Errorf("unmetered span exported a cost line:\n%s", out)
+	}
 	for _, want := range []string{
 		"# TYPE dc_octet_transitions_fast_path counter\ndc_octet_transitions_fast_path 5\n",
 		"# TYPE dc_pcd_replayed_tx_fraction gauge\ndc_pcd_replayed_tx_fraction 0.25\n",
@@ -164,6 +200,8 @@ func TestWriteProm(t *testing.T) {
 		"dc_icd_scc_size_bucket{le=\"4\"} 2\n",
 		"dc_icd_scc_size_bucket{le=\"+Inf\"} 3\n",
 		"dc_icd_scc_size_sum 14\ndc_icd_scc_size_count 3\n",
+		"dc_span_icd_scc_cost_units 7\n",
+		"dc_span_pcd_blame_count 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)

@@ -73,32 +73,35 @@ type Options struct {
 	// Telemetry, when non-nil, receives live Velodrome metrics (metadata
 	// updates, edges, cycle checks, sync fast skips) and the velo.gc span.
 	Telemetry *telemetry.Registry
-	// TraceSpan is the request-scoped parent for this checker's obs spans
-	// (GC passes); the zero Span disables them.
+	// TraceSpan is the request-scoped parent under which the velo.gc phase
+	// span also appears in the trace tree; the zero Span keeps it out.
 	TraceSpan obs.Span
 }
 
 // tel holds pre-resolved telemetry handles so the barrier pays a nil check
 // plus an atomic op, never a registry map lookup.
 type tel struct {
-	reg             *telemetry.Registry
 	metadataUpdates *telemetry.Counter
 	edges           *telemetry.Counter
 	cycleChecks     *telemetry.Counter
 	syncFastSkips   *telemetry.Counter
 }
 
-func newTel(reg *telemetry.Registry) *tel {
+// newTel resolves the handles; the sync fast-skip counter exists only
+// under the unsound variant, the one configuration that can skip.
+func newTel(reg *telemetry.Registry, unsound bool) *tel {
 	if reg == nil {
 		return nil
 	}
-	return &tel{
-		reg:             reg,
+	t := &tel{
 		metadataUpdates: reg.Counter(telemetry.VeloMetadataUpdates),
 		edges:           reg.Counter(telemetry.VeloEdges),
 		cycleChecks:     reg.Counter(telemetry.VeloCycleChecks),
-		syncFastSkips:   reg.Counter(telemetry.VeloSyncFastSkips),
 	}
+	if unsound {
+		t.syncFastSkips = reg.Counter(telemetry.VeloSyncFastSkips)
+	}
+	return t
 }
 
 // Checker is a Velodrome instance; it implements vm.Instrumentation.
@@ -131,7 +134,7 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 		opts:     opts,
 		meta:     make(map[fieldKey]*metadata),
 		skipping: make(map[vm.ThreadID]bool),
-		tel:      newTel(opts.Telemetry),
+		tel:      newTel(opts.Telemetry, opts.Unsound),
 	}
 	if c.opts.GCPeriod == 0 {
 		c.opts.GCPeriod = 8192
@@ -347,10 +350,8 @@ func (c *Checker) addEdge(src, dst *txn.Txn, seq uint64) {
 // collect garbage-collects transactions unreachable from the metadata and
 // thread-current roots.
 func (c *Checker) collect() {
-	span := c.opts.Telemetry.StartSpan(telemetry.SpanVeloGC, c.meter)
+	span := c.opts.Telemetry.StartSpan(c.opts.TraceSpan, telemetry.SpanVeloGC, c.meter)
 	defer span.End()
-	osp := c.opts.TraceSpan.Child(telemetry.SpanVeloGC)
-	defer osp.End()
 	var roots []*txn.Txn
 	for _, md := range c.meta {
 		if md.lastWrite != nil {
