@@ -3,9 +3,8 @@
 // -replay` on the same file) or check a named built-in workload via
 // /check/workload. The service sheds load with 429 when its admission queue
 // fills, quarantines repeatedly-crashing inputs behind a circuit breaker,
-// shares a global PCD worker budget across requests, and drains gracefully
-// on SIGTERM (readyz flips to 503, in-flight checks finish within
-// -drain-timeout).
+// caches results by content address, and drains gracefully on SIGTERM
+// (readyz flips to 503, in-flight checks finish within -drain-timeout).
 package main
 
 import (

@@ -27,7 +27,7 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "all",
-			"one of: table2, fig7, table3, refine-overhead, arrays, ablations, filter-precision, pcd-only, telemetry, parallelpcd, servecache, obsoverhead, crosscheck, all")
+			"one of: table2, fig7, table3, refine-overhead, arrays, ablations, filter-precision, pcd-only, telemetry, servecache, obsoverhead, crosscheck, all")
 		scale      = fs.Float64("scale", 0.5, "workload scale factor")
 		trials     = fs.Int("trials", 5, "performance trials per configuration")
 		stable     = fs.Int("stable", 4, "consecutive quiet trials ending refinement (paper: 10)")
@@ -36,7 +36,6 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 		csvDir     = fs.String("csv", "", "also write machine-readable CSVs into this directory")
 		budget     = fs.Int64("budget-kb", 0, "model a heap limit: flag Figure 7 rows whose live analysis bytes exceed this (KiB)")
 		telOut     = fs.String("telemetry-out", "BENCH_telemetry.json", "output path for the telemetry experiment's JSON dump")
-		parOut     = fs.String("parallelpcd-out", "BENCH_parallelpcd.json", "output path for the parallelpcd experiment's JSON dump (determinism section also written alongside as .det.json)")
 		cacheOut   = fs.String("servecache-out", "BENCH_servecache.json", "output path for the servecache experiment's JSON dump")
 		obsOut     = fs.String("obs-out", "BENCH_obs.json", "output path for the obsoverhead experiment's JSON dump")
 		xchkOut    = fs.String("crosscheck-out", "BENCH_crosscheck.json", "output path for the crosscheck experiment's JSON dump (byte-reproducible at a fixed budget)")
@@ -81,14 +80,14 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 			return 1
 		}
 	}
-	if code := runExperiments(ctx, *experiment, *csvDir, *telOut, *parOut, *cacheOut, *obsOut, *xchkOut, eval.NewRunner(opts), stdout, stderr); code != 0 {
+	if code := runExperiments(ctx, *experiment, *csvDir, *telOut, *cacheOut, *obsOut, *xchkOut, eval.NewRunner(opts), stdout, stderr); code != 0 {
 		return code
 	}
 	return 0
 }
 
 // runExperiments dispatches the experiment set; split out for testing.
-func runExperiments(ctx context.Context, experiment, csvDir, telOut, parOut, cacheOut, obsOut, xchkOut string, runner *eval.Runner, stdout, stderr io.Writer) int {
+func runExperiments(ctx context.Context, experiment, csvDir, telOut, cacheOut, obsOut, xchkOut string, runner *eval.Runner, stdout, stderr io.Writer) int {
 	writeCSV := func(name, content string) bool {
 		if csvDir == "" {
 			return true
@@ -223,24 +222,6 @@ func runExperiments(ctx context.Context, experiment, csvDir, telOut, parOut, cac
 			}
 			fmt.Fprintf(stdout, "[wrote %s]\n", telOut)
 			return d.RenderTelemetry(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "parallelpcd") {
-		ok = run("parallelpcd", func() (string, error) {
-			d, err := runner.ParallelPCD()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(parOut, d.JSON(), 0o644); err != nil {
-				return "", err
-			}
-			detPath := strings.TrimSuffix(parOut, ".json") + ".det.json"
-			if err := os.WriteFile(detPath, d.DetJSON(), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(stdout, "[wrote %s and %s]\n", parOut, detPath)
-			return d.RenderParallelPCD(), nil
 		})
 		ran = true
 	}

@@ -57,9 +57,6 @@ func DCheckContext(ctx context.Context, args []string, stdout, stderr io.Writer)
 		replay   = fs.Bool("replay", false, "treat the argument as a .dct trace and re-check it without executing")
 		cacheDir = fs.String("cache-dir", "", "with -replay: content-addressed result store directory; hits skip the check")
 
-		pcdWorkers = fs.Int("pcd-workers", 0,
-			"PCD replay worker pool size; >=2 checks SCCs concurrently off the critical path (0/1: in-line serial replay)")
-
 		statsJSON   = fs.Bool("stats-json", false, "print the run's telemetry snapshot as JSON (deterministic: span wall times stripped)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address while the check runs")
 		traceOut    = fs.String("trace-out", "", "write the run's span timeline as Chrome trace-event JSON (load in Perfetto)")
@@ -81,10 +78,6 @@ func DCheckContext(ctx context.Context, args []string, stdout, stderr io.Writer)
 		fmt.Fprintf(stderr, "dcheck: -retries %d is negative\n", *retries)
 		return 2
 	}
-	if *pcdWorkers < 0 {
-		fmt.Fprintf(stderr, "dcheck: -pcd-workers %d is negative\n", *pcdWorkers)
-		return 2
-	}
 	if *record != "" && (*trials != 1 || *refine || *dot || *replay) {
 		fmt.Fprintln(stderr, "dcheck: -record needs -trials 1 and is incompatible with -refine, -dot and -replay")
 		return 2
@@ -102,7 +95,7 @@ func DCheckContext(ctx context.Context, args []string, stdout, stderr io.Writer)
 		sticky: *sticky, refine: *refine, lintOnly: *lint, costly: *costly,
 		verbose: *verbose, dot: *dot,
 		trialTimeout: *trialTimeout, maxSteps: *maxSteps, retries: *retries,
-		record: *record, replay: *replay, cacheDir: *cacheDir, pcdWorkers: *pcdWorkers,
+		record: *record, replay: *replay, cacheDir: *cacheDir,
 		statsJSON: *statsJSON, metricsAddr: *metricsAddr,
 		traceOut: *traceOut, logLevel: *logLevel,
 	}, stdout, stderr)
@@ -126,7 +119,6 @@ type dcheckOpts struct {
 	record                                 string
 	replay                                 bool
 	cacheDir                               string
-	pcdWorkers                             int
 	statsJSON                              bool
 	metricsAddr                            string
 	traceOut                               string
@@ -239,13 +231,12 @@ func runDCheck(ctx context.Context, o dcheckOpts, stdout, stderr io.Writer) erro
 		out, err := supervise.Trial(ctx, budget, o.analysis, s,
 			func(ctx context.Context, seed int64) (*core.Result, error) {
 				return core.RunContext(ctx, prog, core.Config{
-					Analysis:   analysis,
-					Sched:      vm.NewSticky(seed, o.sticky),
-					Atomic:     sp.Atomic,
-					Meter:      meter,
-					MaxSteps:   o.maxSteps,
-					Telemetry:  reg,
-					PCDWorkers: o.pcdWorkers,
+					Analysis:  analysis,
+					Sched:     vm.NewSticky(seed, o.sticky),
+					Atomic:    sp.Atomic,
+					Meter:     meter,
+					MaxSteps:  o.maxSteps,
+					Telemetry: reg,
 				})
 			})
 		if err != nil {
@@ -324,7 +315,7 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 		if err != nil {
 			return err
 		}
-		res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers})
+		res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg})
 		if err != nil {
 			return err
 		}
@@ -366,19 +357,17 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.path, err)
 	}
-	res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers})
+	res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg})
 	if err != nil {
 		return err
 	}
-	if len(res.PCDQuarantined) == 0 {
-		if err := cache.Put(key, &store.Entry{
-			Program:    d.Header.Program.Name,
-			Events:     d.Counts.Total(),
-			Violations: len(res.Violations),
-			Blamed:     res.BlamedMethodNames(d.Header.Program),
-		}); err != nil {
-			return err
-		}
+	if err := cache.Put(key, &store.Entry{
+		Program:    d.Header.Program.Name,
+		Events:     d.Counts.Total(),
+		Violations: len(res.Violations),
+		Blamed:     res.BlamedMethodNames(d.Header.Program),
+	}); err != nil {
+		return err
 	}
 	io.WriteString(stdout, core.ReplayReport(o.path, d, res))
 	if o.statsJSON {

@@ -1,6 +1,6 @@
 // dcserve: the always-on checking service. Serves .dct uploads and named
-// workloads over HTTP with admission control, circuit breaking, a shared
-// PCD worker budget, and graceful drain; see internal/server.
+// workloads over HTTP with admission control, circuit breaking, a result
+// store, and graceful drain; see internal/server.
 
 package cli
 
@@ -20,65 +20,115 @@ import (
 	"doublechecker/internal/telemetry"
 )
 
+// dcserveFlags is dcserve's parsed and validated command line.
+type dcserveFlags struct {
+	addr      string
+	cfg       server.Config // logger, recorder and store are wired by DCServe
+	cacheMem  int64
+	cacheDir  string
+	cacheDisk int64
+	noCache   bool
+	logLevel  string
+	flightBuf int
+}
+
+// parseDCServe parses dcserve's flags and rejects numbers outside their
+// domain, naming the flag on stderr. ok is false when the command must exit
+// 2 without listening. The zeros with a documented meaning keep it:
+// -concurrency 0 runs GOMAXPROCS checks, -retries 0 retries nothing, the
+// breaker's zeros take its defaults, -cache-mem 0 disables the memory tier
+// and -cache-disk 0 leaves the disk tier unbounded.
+func parseDCServe(args []string, stderr io.Writer) (f dcserveFlags, ok bool) {
+	fs := flag.NewFlagSet("dcserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfg := &f.cfg
+	fs.StringVar(&f.addr, "addr", "127.0.0.1:8377", "listen address (host:port; port 0 picks a free port)")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", server.DefaultRequestTimeout, "per-check wall-clock budget")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", server.DefaultDrainTimeout, "how long in-flight checks get to finish on shutdown")
+	fs.IntVar(&cfg.MaxConcurrent, "concurrency", 0, "checks running at once (0: GOMAXPROCS)")
+	fs.IntVar(&cfg.MaxQueue, "queue", server.DefaultMaxQueue, "admitted requests that may wait for a slot before shedding with 429")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", server.DefaultMaxBodyBytes, "largest accepted trace upload, bytes")
+	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive same-digest failures that open a circuit (0: default)")
+	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 0, "open-circuit cooldown before a probe (0: default)")
+	fs.IntVar(&cfg.Retries, "retries", 1, "extra attempts a transient check failure earns (0: none)")
+	fs.Float64Var(&cfg.WorkloadScale, "scale", server.DefaultWorkloadScale, "scale factor for named workload checks")
+	fs.BoolVar(&cfg.AllowFaults, "allow-faults", false, "enable deterministic fault-injection query parameters (chaos testing only)")
+	fs.Int64Var(&f.cacheMem, "cache-mem", store.DefaultMemBudget, "result-store memory tier byte budget (0 disables the tier)")
+	fs.StringVar(&f.cacheDir, "cache-dir", "", "result-store disk tier directory (empty disables the tier)")
+	fs.Int64Var(&f.cacheDisk, "cache-disk", 0, "result-store disk tier byte budget (0: unbounded)")
+	fs.BoolVar(&f.noCache, "no-cache", false, "disable the result store entirely (every check runs cold)")
+	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
+	fs.IntVar(&f.flightBuf, "flight-buf", obs.DefaultFlightRecorderSize,
+		"flight recorder ring capacity (recent span/log/panic/quarantine events, served at /debug/flightrecorder)")
+	if err := fs.Parse(args); err != nil {
+		return f, false
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "dcserve: unexpected arguments %v\n", fs.Args())
+		return f, false
+	}
+	var bad string
+	switch {
+	case cfg.MaxConcurrent < 0:
+		bad = fmt.Sprintf("-concurrency %d is negative", cfg.MaxConcurrent)
+	case cfg.Retries < 0:
+		bad = fmt.Sprintf("-retries %d is negative", cfg.Retries)
+	case cfg.BreakerThreshold < 0:
+		bad = fmt.Sprintf("-breaker-threshold %d is negative", cfg.BreakerThreshold)
+	case cfg.BreakerCooldown < 0:
+		bad = fmt.Sprintf("-breaker-cooldown %v is negative", cfg.BreakerCooldown)
+	case f.cacheMem < 0:
+		bad = fmt.Sprintf("-cache-mem %d is negative", f.cacheMem)
+	case f.cacheDisk < 0:
+		bad = fmt.Sprintf("-cache-disk %d is negative", f.cacheDisk)
+	case cfg.MaxQueue < 1:
+		bad = fmt.Sprintf("-queue %d must be at least 1", cfg.MaxQueue)
+	case cfg.MaxBodyBytes < 1:
+		bad = fmt.Sprintf("-max-body %d must be at least 1", cfg.MaxBodyBytes)
+	case f.flightBuf < 1:
+		bad = fmt.Sprintf("-flight-buf %d must be at least 1", f.flightBuf)
+	case cfg.RequestTimeout <= 0:
+		bad = fmt.Sprintf("-request-timeout %v must be positive", cfg.RequestTimeout)
+	case cfg.DrainTimeout <= 0:
+		bad = fmt.Sprintf("-drain-timeout %v must be positive", cfg.DrainTimeout)
+	case !(cfg.WorkloadScale > 0):
+		bad = fmt.Sprintf("-scale %v must be positive", cfg.WorkloadScale)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "dcserve:", bad)
+		return f, false
+	}
+	return f, true
+}
+
 // DCServe runs the dcserve command: parse flags, serve until the context is
 // canceled (SIGTERM/SIGINT in main), then drain gracefully. Returns the
 // process exit code.
 func DCServe(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dcserve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		addr = fs.String("addr", "127.0.0.1:8377", "listen address (host:port; port 0 picks a free port)")
-		cfg  server.Config
-		req  = fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-check wall-clock budget")
-		drn  = fs.Duration("drain-timeout", server.DefaultDrainTimeout, "how long in-flight checks get to finish on shutdown")
-	)
-	fs.IntVar(&cfg.MaxConcurrent, "concurrency", 0, "checks running at once (0: GOMAXPROCS)")
-	fs.IntVar(&cfg.MaxQueue, "queue", server.DefaultMaxQueue, "admitted requests that may wait for a slot before shedding with 429")
-	fs.IntVar(&cfg.PCDBudget, "pcd-budget", server.DefaultPCDBudget, "global PCD pool workers shared across requests (-1 disables pooling)")
-	fs.IntVar(&cfg.PCDPerRequest, "pcd-per-request", server.DefaultPCDPerRequest, "PCD pool workers one request asks for")
-	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", server.DefaultMaxBodyBytes, "largest accepted trace upload, bytes")
-	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive same-digest failures that open a circuit (0: default)")
-	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 0, "open-circuit cooldown before a probe (0: default)")
-	fs.IntVar(&cfg.Retries, "retries", 1, "extra attempts a transient check failure earns")
-	fs.Float64Var(&cfg.WorkloadScale, "scale", server.DefaultWorkloadScale, "scale factor for named workload checks")
-	fs.BoolVar(&cfg.AllowFaults, "allow-faults", false, "enable deterministic fault-injection query parameters (chaos testing only)")
-	var (
-		cacheMem  = fs.Int64("cache-mem", store.DefaultMemBudget, "result-store memory tier byte budget (0 disables the tier)")
-		cacheDir  = fs.String("cache-dir", "", "result-store disk tier directory (empty disables the tier)")
-		cacheDisk = fs.Int64("cache-disk", 0, "result-store disk tier byte budget (0: unbounded)")
-		noCache   = fs.Bool("no-cache", false, "disable the result store entirely (every check runs cold)")
-		logLevel  = fs.String("log-level", "info", "structured log level: debug, info, warn, error")
-		flightBuf = fs.Int("flight-buf", obs.DefaultFlightRecorderSize,
-			"flight recorder ring capacity (recent span/log/panic/quarantine events, served at /debug/flightrecorder)")
-	)
-	if err := fs.Parse(args); err != nil {
+	f, ok := parseDCServe(args, stderr)
+	if !ok {
 		return 2
 	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "dcserve: unexpected arguments %v\n", fs.Args())
-		return 2
-	}
-	cfg.RequestTimeout = *req
-	cfg.DrainTimeout = *drn
+	cfg := f.cfg
 
 	// One flight recorder for the whole service: request spans, log lines,
 	// panic quarantines, and store quarantines all land in the same ring.
 	// The service log — lifecycle plus one line per check request — goes to
 	// stdout, which the ops convention captures as the server log.
-	rec := obs.NewFlightRecorder(*flightBuf)
-	logger := obs.NewLogger(stdout, obs.ParseLevel(*logLevel), rec)
+	rec := obs.NewFlightRecorder(f.flightBuf)
+	logger := obs.NewLogger(stdout, obs.ParseLevel(f.logLevel), rec)
 	cfg.Logger = logger
 	cfg.Recorder = rec
 
 	// The result store is on by default (memory tier only); -cache-dir adds
 	// the persistent tier, -no-cache turns the whole thing off. Store and
 	// server share one registry so /metrics shows store.* beside server.*.
-	if !*noCache && (*cacheMem > 0 || *cacheDir != "") {
+	if !f.noCache && (f.cacheMem > 0 || f.cacheDir != "") {
 		cfg.Telemetry = telemetry.NewRegistry()
 		cache, err := store.Open(store.Config{
-			Dir:        *cacheDir,
-			MemBudget:  *cacheMem,
-			DiskBudget: *cacheDisk,
+			Dir:        f.cacheDir,
+			MemBudget:  f.cacheMem,
+			DiskBudget: f.cacheDisk,
 			Telemetry:  cfg.Telemetry,
 			Recorder:   rec,
 		})
@@ -90,13 +140,13 @@ func DCServe(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	s := server.New(cfg)
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "dcserve: %v\n", err)
 		return 1
 	}
 	logger.Info(fmt.Sprintf("dcserve: serving on http://%s", ln.Addr()),
-		"drain_timeout", cfg.DrainTimeout.String(), "log_level", *logLevel)
+		"drain_timeout", cfg.DrainTimeout.String(), "log_level", f.logLevel)
 
 	httpSrv := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)

@@ -108,3 +108,62 @@ func TestDCServeServesAndDrains(t *testing.T) {
 		}
 	}
 }
+
+// TestDCServeRejectsBadNumbers: numeric flags outside their domain exit 2
+// before the service listens, instead of being swapped for a default.
+func TestDCServeRejectsBadNumbers(t *testing.T) {
+	cases := []struct{ flag, value string }{
+		{"-concurrency", "-3"},
+		{"-retries", "-1"},
+		{"-breaker-threshold", "-1"},
+		{"-breaker-cooldown", "-1s"},
+		{"-cache-mem", "-1"},
+		{"-cache-disk", "-1"},
+		{"-queue", "0"},
+		{"-max-body", "0"},
+		{"-flight-buf", "0"},
+		{"-request-timeout", "0s"},
+		{"-drain-timeout", "-1s"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
+	}
+	// Canceled up front: a command that wrongly accepted the flag drains
+	// and exits at once instead of serving forever.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		var out, errb syncBuffer
+		code := DCServe(ctx, []string{"-addr", "127.0.0.1:0", tc.flag, tc.value}, &out, &errb)
+		if code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(errb.String(), tc.flag+" ") {
+			t.Errorf("%s %s: stderr does not name the flag: %q", tc.flag, tc.value, errb.String())
+		}
+		if strings.Contains(out.String(), "serving on") {
+			t.Errorf("%s %s: listened anyway:\n%s", tc.flag, tc.value, out.String())
+		}
+	}
+}
+
+// TestDCServeRetriesZeroMeansNone: -retries 0 reaches the server
+// configuration as no retries; the default stays one.
+func TestDCServeRetriesZeroMeansNone(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 1},
+		{[]string{"-retries", "0"}, 0},
+		{[]string{"-retries", "3"}, 3},
+	} {
+		f, ok := parseDCServe(tc.args, io.Discard)
+		if !ok {
+			t.Fatalf("%v: rejected", tc.args)
+		}
+		if f.cfg.Retries != tc.want {
+			t.Errorf("%v: server configured with %d retries, want %d", tc.args, f.cfg.Retries, tc.want)
+		}
+	}
+}

@@ -431,7 +431,6 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 	var (
 		analysisName = fs.String("analysis", "dc-single", "checker to replay the trace through")
 		workers      = fs.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
-		pcdWorkers   = fs.Int("pcd-workers", 0, "PCD replay worker pool size per trace; >=2 checks SCCs concurrently (0/1: serial)")
 		timeout      = fs.Duration("trace-timeout", 0, "wall-clock budget per trace (0: unbounded)")
 		statsJSON    = fs.Bool("stats-json", false, "print each trace's telemetry snapshot as JSON (deterministic: span wall times stripped)")
 		cacheDir     = fs.String("cache-dir", "", "content-addressed result store directory; hits skip the check")
@@ -444,10 +443,6 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: dctrace replay [flags] trace.dct|dir ...")
 		fs.PrintDefaults()
-		return errUsage
-	}
-	if *pcdWorkers < 0 {
-		fmt.Fprintf(stderr, "dctrace: -pcd-workers %d is negative\n", *pcdWorkers)
 		return errUsage
 	}
 	analysis, err := core.ParseAnalysis(*analysisName)
@@ -496,7 +491,7 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 				if err != nil {
 					return "", false, err
 				}
-				res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, PCDWorkers: *pcdWorkers})
+				res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis})
 				if err != nil {
 					return "", false, err
 				}
@@ -526,19 +521,17 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 			if err != nil {
 				return "", false, fmt.Errorf("%s: %w", path, err)
 			}
-			res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, PCDWorkers: *pcdWorkers})
+			res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis})
 			if err != nil {
 				return "", false, err
 			}
-			if len(res.PCDQuarantined) == 0 {
-				if err := cache.Put(key, &store.Entry{
-					Program:    d.Header.Program.Name,
-					Events:     d.Counts.Total(),
-					Violations: len(res.Violations),
-					Blamed:     res.BlamedMethodNames(d.Header.Program),
-				}); err != nil {
-					return "", false, err
-				}
+			if err := cache.Put(key, &store.Entry{
+				Program:    d.Header.Program.Name,
+				Events:     d.Counts.Total(),
+				Violations: len(res.Violations),
+				Blamed:     res.BlamedMethodNames(d.Header.Program),
+			}); err != nil {
+				return "", false, err
 			}
 			var b strings.Builder
 			b.WriteString(replayLine(path, len(res.Violations), res.BlamedMethodNames(d.Header.Program)))
@@ -660,7 +653,7 @@ func dctraceFuzz(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		for _, tp := range workloads.Tiny() {
 			rep, err := crosscheck.Enumerate(ctx,
 				crosscheck.Source{Name: tp.Name, Prog: tp.Prog, Atomic: tp.Atomic},
-				64, 4096, nil)
+				64, 4096)
 			if err != nil {
 				return err
 			}

@@ -196,9 +196,6 @@ func TestDCTraceUsageErrors(t *testing.T) {
 		{"bogus-command"},
 		{"record"},
 		{"replay"},
-		// Negative pool sizes are rejected like dcheck's, before any trace
-		// is opened (the path does not exist).
-		{"replay", "-pcd-workers", "-3", "missing.dct"},
 		{"diff"},
 		{"info"},
 	}

@@ -120,23 +120,12 @@ type Config struct {
 	// the critical path: PCD's cost is charged to a separate meter
 	// reported via Result.OffCritical instead of the main meter.
 	ParallelPCD bool
-	// PCDWorkers makes §5.3's suggestion real: values ≥ 2 replay SCCs on
-	// that many concurrent worker goroutines (internal/pcd's pool), handed
-	// off at ICD's SCC-discovery point and merged deterministically at the
-	// end of the run — findings, stats, and the deterministic telemetry
-	// snapshot are byte-identical to the serial path for any worker count.
-	// 0 or 1 keeps the serial in-line replay. A pooled run charges PCD to
-	// per-SCC off-critical-path meters (ParallelPCD-style accounting is
-	// implied; only the hand-off snapshot stays on the main meter). PCDOnly
-	// ignores it: the straw man replays everything at program end, after
-	// the event stream — there is no discovery-time hand-off to move off
-	// the critical path.
+	// PCDWorkers is ignored: PCD replays every SCC in line.
+	//
+	// Deprecated: the concurrent PCD pool it sized was slower than in-line
+	// replay on every measured workload and has been removed; ParallelPCD
+	// keeps §5.3's off-critical-path accounting as a cost model.
 	PCDWorkers int
-	// PCDPoolHook, if non-nil, runs on a pool worker just before each SCC
-	// replay (PCDWorkers ≥ 2 only); a panic in it is quarantined to that
-	// SCC like a checker panic. It is the pool-side deterministic
-	// fault-injection seam, WrapInst's counterpart.
-	PCDPoolHook func(index uint64, scc []*txn.Txn)
 	// MemoryBudget, when positive and a Meter is attached, marks the run
 	// out-of-memory once live analysis bytes exceed it — the 32-bit heap
 	// phenomenon of §5.1 (the run continues; Result.Cost.OOM reports it).
@@ -184,16 +173,12 @@ type Result struct {
 	StaticUnary   bool
 
 	// OffCritical is the modelled cost moved off the program's critical
-	// path by ParallelPCD or a PCDWorkers pool (zero otherwise).
+	// path by ParallelPCD (zero otherwise).
 	OffCritical cost.Report
 	// OffCriticalPathCost is OffCritical.Total: the headline units of PCD
 	// work that did not delay the program, the quantity §5.3's
-	// off-critical-path argument is about. Both the serial ParallelPCD
-	// path and the PCDWorkers pool charge PCD replay here consistently.
+	// off-critical-path argument is about.
 	OffCriticalPathCost cost.Units
-	// PCDQuarantined lists per-SCC worker panics the PCD pool absorbed
-	// without losing the run (empty for serial runs and healthy pools).
-	PCDQuarantined []pcd.Quarantine
 
 	// Telemetry is the run's metric snapshot (never nil after a successful
 	// run). When Config.Telemetry was shared across runs the snapshot is
@@ -256,7 +241,7 @@ func run(ctx context.Context, prog *vm.Program, cfg Config, live bool,
 	runSpan.SetStr("analysis", cfg.Analysis.String())
 	defer runSpan.End()
 
-	inst, collect, abort, err := buildAnalysis(ctx, prog, cfg, res)
+	inst, collect, err := buildAnalysis(runSpan, prog, cfg, res)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +256,6 @@ func run(ctx context.Context, prog *vm.Program, cfg Config, live bool,
 	span.SetInt("vm.tx.ends", int64(res.VMStats.TxEnds))
 	span.End()
 	if err != nil {
-		abort()
 		res.Telemetry = cfg.Telemetry.Snapshot()
 		return res, err
 	}
@@ -334,20 +318,16 @@ func publishRunTelemetry(reg *telemetry.Registry, res *Result, live, metered boo
 
 // buildAnalysis assembles the checker configuration selected by cfg into an
 // instrumentation plus a collect closure that harvests its findings into
-// res once the event stream ends, and an abort closure the error path must
-// call so background resources (the PCD worker pool) never outlive a failed
-// run. It is shared by the live execution path (RunContext) and the trace
-// replay path (RunTrace): both drive the same instrumentation, one from a
-// VM, one from a file. ctx bounds collect-time draining of the pool.
-func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Result) (vm.Instrumentation, func(), func(), error) {
+// res once the event stream ends. It is shared by the live execution path
+// (RunContext) and the trace replay path (RunTrace): both drive the same
+// instrumentation, one from a VM, one from a file.
+//
+// The checkers have no context of their own (they sit behind the VM's
+// instrumentation callbacks), so the run's span is handed to them as a
+// parent handle: their phase spans become children of core.run.
+func buildAnalysis(tspan obs.Span, prog *vm.Program, cfg Config, res *Result) (vm.Instrumentation, func(), error) {
 	var inst vm.Instrumentation
 	var collect func()
-	abort := func() {}
-
-	// The checkers have no context of their own (they sit behind the VM's
-	// instrumentation callbacks), so the current span is handed to them as
-	// a parent handle: their phase spans become children of core.run.
-	tspan := obs.SpanFromContext(ctx)
 
 	switch cfg.Analysis {
 	case Baseline:
@@ -400,47 +380,28 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 		opts.NoElision = cfg.NoElision
 		opts.NoUnaryMerge = cfg.NoUnaryMerge
 		opts.EagerDetect = cfg.EagerDetect
-		usePool := cfg.PCDWorkers >= 2 && logging && cfg.Analysis != PCDOnly
-		var pcdMeter = cfg.Meter
+		pcdMeter := cfg.Meter
 		var offMeter *cost.Meter
-		if cfg.ParallelPCD && cfg.Meter != nil && !usePool {
-			// Serial off-critical-path modelling: PCD replays on its own
-			// meter, under the same memory budget as the main meter — a
-			// giant SCC's replay spike must hit the modelled heap limit
-			// whether or not it delays the program.
+		if cfg.ParallelPCD && cfg.Meter != nil {
+			// Off-critical-path modelling: PCD replays on its own meter,
+			// under the same memory budget as the main meter — a giant
+			// SCC's replay spike must hit the modelled heap limit whether or
+			// not it delays the program.
 			offMeter = cost.NewMeter(cfg.Meter.Model())
 			if cfg.MemoryBudget > 0 {
 				offMeter.SetBudget(cfg.MemoryBudget)
 			}
 			pcdMeter = offMeter
 		}
-		var pool *pcd.Pool
-		if logging && cfg.Analysis != PCDOnly {
-			if usePool {
-				pool = pcd.NewPool(pcd.PoolConfig{
-					Workers:   cfg.PCDWorkers,
-					Order:     cfg.ReplayOrder,
-					MainMeter: cfg.Meter,
-					Budget:    cfg.MemoryBudget,
-					Telemetry: cfg.Telemetry,
-					Hook:      cfg.PCDPoolHook,
-					TraceSpan: tspan,
-				})
-				opts.OnSCC = pool.Submit
-				abort = pool.Abort
-			} else {
-				p = pcd.NewChecker(pcdMeter, cfg.ReplayOrder)
-				p.SetTelemetry(cfg.Telemetry)
-				p.SetTraceSpan(tspan)
+		if logging {
+			p = pcd.NewChecker(pcdMeter, cfg.ReplayOrder)
+			p.SetTelemetry(cfg.Telemetry)
+			p.SetTraceSpan(tspan)
+			if cfg.Analysis != PCDOnly {
 				opts.OnSCC = func(scc []*txn.Txn) { p.Process(scc) }
 			}
 		}
 		ic := icd.NewChecker(prog, cfg.Meter, opts)
-		if cfg.Analysis == PCDOnly {
-			p = pcd.NewChecker(pcdMeter, cfg.ReplayOrder)
-			p.SetTelemetry(cfg.Telemetry)
-			p.SetTraceSpan(tspan)
-		}
 		inst = ic
 		collect = func() {
 			res.ICD = ic.Stats()
@@ -448,13 +409,7 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 			if cfg.Analysis == PCDOnly {
 				p.Process(ic.Manager().All())
 			}
-			if pool != nil {
-				merged := pool.Drain(ctx)
-				res.Violations = merged.Violations
-				res.PCD = merged.Stats
-				res.OffCritical = merged.OffCritical
-				res.PCDQuarantined = merged.Quarantined
-			} else if p != nil {
+			if p != nil {
 				res.Violations = p.Violations()
 				res.PCD = p.Stats()
 			}
@@ -465,10 +420,10 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 		}
 
 	default:
-		return nil, nil, nil, fmt.Errorf("core: unknown analysis %v", cfg.Analysis)
+		return nil, nil, fmt.Errorf("core: unknown analysis %v", cfg.Analysis)
 	}
 
-	return inst, collect, abort, nil
+	return inst, collect, nil
 }
 
 // UnionFilter merges the static transaction information of several first

@@ -39,8 +39,8 @@ func ViolationSummaryFrom(violations int, blamed []string) string {
 // ReplayReport renders the canonical replay report for trace d checked as
 // res: the trace identity line (name is the caller's display name for the
 // trace — a path for dcheck, an upload name for dcserve) followed by the
-// violation summary. Deterministic for a given (d, res): serving it from a
-// worker pool of any size yields identical bytes.
+// violation summary. Deterministic for a given (d, res): dcheck, dctrace
+// and dcserve render identical bytes for the same trace.
 func ReplayReport(name string, d *trace.Data, res *Result) string {
 	h := &d.Header
 	return ReplayReportFrom(name, h.Program.Name, h.Seed, d.Counts.Total(),

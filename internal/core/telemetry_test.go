@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"doublechecker/internal/cost"
 	"doublechecker/internal/spec"
 	"doublechecker/internal/telemetry"
 	"doublechecker/internal/trace"
@@ -27,22 +28,53 @@ func replayGolden(t *testing.T, name string) *Result {
 	return res
 }
 
-// TestTraceTelemetryDeterministic is the determinism contract's gate: two
-// identical replays of the same golden trace must yield byte-identical
-// deterministic telemetry JSON (span wall times, the one nondeterministic
-// quantity, are stripped).
+// TestTraceTelemetryDeterministic is the determinism contract's gate: every
+// metered replay of a golden trace under one analysis must charge the same
+// cost and yield byte-identical deterministic telemetry JSON (span wall
+// times, the one nondeterministic quantity, are stripped). Each replay gets
+// a fresh meter. Cycle checks charge per visited node, so a checker that
+// adds edges in map order moves the total from one replay to the next;
+// thirty replays make such an order show.
 func TestTraceTelemetryDeterministic(t *testing.T) {
-	for _, name := range []string{"elevator.dct", "montecarlo.dct", "hsqldb6.dct"} {
-		t.Run(name, func(t *testing.T) {
-			a := replayGolden(t, name).Telemetry.Deterministic().JSON()
-			b := replayGolden(t, name).Telemetry.Deterministic().JSON()
-			if !bytes.Equal(a, b) {
-				t.Errorf("replays diverge:\n%s\nvs\n%s", a, b)
-			}
-			// vm.steps is live-only (a trace records no steps); the
-			// event-derived vm counters are what a replay publishes.
-			if !strings.Contains(string(a), telemetry.VMTxEnds) {
-				t.Errorf("snapshot missing vm counters:\n%s", a)
+	const replays = 30
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "traces", "*.dct"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("golden corpus: %v (%d files)", err, len(paths))
+	}
+	for _, path := range paths {
+		d, err := trace.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			for _, a := range []Analysis{DCSingle, DCFirst, PCDOnly, Velodrome, VelodromeUnsound} {
+				t.Run(a.String(), func(t *testing.T) {
+					var first *Result
+					var firstTel []byte
+					for i := 0; i < replays; i++ {
+						res, err := RunTrace(context.Background(), d, Config{Analysis: a, Meter: cost.NewMeter(cost.Default())})
+						if err != nil {
+							t.Fatal(err)
+						}
+						tel := res.Telemetry.Deterministic().JSON()
+						if first == nil {
+							first, firstTel = res, tel
+							// vm.steps is live-only (a trace records no steps);
+							// the event-derived vm counters are what a replay
+							// publishes.
+							if !strings.Contains(string(tel), telemetry.VMTxEnds) {
+								t.Fatalf("snapshot missing vm counters:\n%s", tel)
+							}
+							continue
+						}
+						if res.Cost != first.Cost {
+							t.Fatalf("replay %d cost %+v, first replay %+v", i, res.Cost, first.Cost)
+						}
+						if !bytes.Equal(tel, firstTel) {
+							t.Fatalf("replay %d deterministic telemetry diverges:\n%s\nvs\n%s", i, tel, firstTel)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -49,11 +49,6 @@ type Model struct {
 	PCDPerEntry  Units // replay one log entry incl. last-access update
 	PCDPerEdge   Units // add a PDG edge + incremental cycle check seed
 	PCDCycleNode Units // per node visited during a PDG cycle check
-	// PCDHandoffPerEntry is the critical-path price of handing an SCC to the
-	// concurrent PCD pool: the VM thread snapshots the SCC's logs so workers
-	// never touch live checker state. Charged per copied log entry; inert
-	// unless a pool is active.
-	PCDHandoffPerEntry Units
 
 	// Velodrome.
 	VeloSync       Units // lock word CAS + fences for analysis-access atomicity
@@ -82,15 +77,14 @@ func Default() Model {
 		OctetConflictExplicit: 400,
 		OctetConflictImplicit: 150,
 
-		IDGEdge:            20,
-		LogAppend:          26,
-		LogElide:           2,
-		SCCPerNode:         12,
-		SCCPerEdge:         6,
-		PCDPerEntry:        18,
-		PCDPerEdge:         25,
-		PCDCycleNode:       8,
-		PCDHandoffPerEntry: 4,
+		IDGEdge:      20,
+		LogAppend:    26,
+		LogElide:     2,
+		SCCPerNode:   12,
+		SCCPerEdge:   6,
+		PCDPerEntry:  18,
+		PCDPerEdge:   25,
+		PCDCycleNode: 8,
 
 		VeloSync:       48,
 		VeloNoSyncPath: 6,

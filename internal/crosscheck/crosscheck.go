@@ -12,9 +12,9 @@
 //  2. Precision equivalence (paper §5): DoubleChecker's single-run verdict
 //     equals the sound-and-precise Velodrome verdict at blamed-method
 //     granularity (core.TraceDiff.OnlyDC / OnlyVelo empty).
-//  3. Determinism: the rendered replay report, the deterministic telemetry
-//     snapshot, and the violation signatures are byte-identical for every
-//     PCD worker count.
+//  3. Repeat determinism: two metered replays of the execution under each
+//     analysis render the same report, violation signatures, deterministic
+//     telemetry snapshot and cost.
 //
 // Executions come from three exploration modes: a budgeted sweep of
 // (workload, seed, scheduler) triples over the workload generators; random
@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"doublechecker/internal/core"
+	"doublechecker/internal/cost"
 	"doublechecker/internal/spec"
 	"doublechecker/internal/trace"
 	"doublechecker/internal/vm"
@@ -110,9 +111,6 @@ type Options struct {
 	Budget int
 	// SeedBase is the first schedule seed (default 1).
 	SeedBase int64
-	// PCDWorkers are the worker counts the determinism oracle compares; the
-	// first entry is the reference (default 0, 2, 4).
-	PCDWorkers []int
 	// MaxSteps bounds each recorded execution (0: vm default).
 	MaxSteps uint64
 	// ReproDir, when non-empty, receives a shrunk standalone .dct repro for
@@ -136,9 +134,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.SeedBase == 0 {
 		o.SeedBase = 1
-	}
-	if len(o.PCDWorkers) == 0 {
-		o.PCDWorkers = []int{0, 2, 4}
 	}
 	return o, nil
 }
@@ -164,8 +159,8 @@ type TripleResult struct {
 	// Agree reports oracles 1 and 2: ICD containment held and
 	// DC ≡ Velodrome at blamed-method granularity.
 	Agree bool `json:"agree"`
-	// Deterministic reports oracle 3: report bytes, deterministic telemetry,
-	// and violation signatures identical across all PCD worker counts.
+	// Deterministic reports oracle 3: report bytes, violation signatures,
+	// deterministic telemetry and cost identical across repeated replays.
 	Deterministic bool `json:"deterministic"`
 	// OnlyDC, OnlyVelo and ICDMissed carry the disagreement detail when
 	// Agree is false (see core.TraceDiff).
@@ -217,7 +212,7 @@ func Record(ctx context.Context, src Source, seed int64, sched NamedScheduler, m
 }
 
 // CheckData runs all three oracles over one decoded trace.
-func CheckData(ctx context.Context, d *trace.Data, pcdWorkers []int) (TripleResult, error) {
+func CheckData(ctx context.Context, d *trace.Data) (TripleResult, error) {
 	var r TripleResult
 	r.Events = d.Counts.Total()
 
@@ -229,7 +224,7 @@ func CheckData(ctx context.Context, d *trace.Data, pcdWorkers []int) (TripleResu
 	r.Agree = td.Agree()
 	r.OnlyDC, r.OnlyVelo, r.ICDMissed = td.OnlyDC, td.OnlyVelo, td.ICDMissed
 
-	ok, diag, err := CheckDeterminism(ctx, d, pcdWorkers)
+	ok, diag, err := CheckDeterminism(ctx, d)
 	if err != nil {
 		return r, err
 	}
@@ -238,39 +233,54 @@ func CheckData(ctx context.Context, d *trace.Data, pcdWorkers []int) (TripleResu
 	return r, nil
 }
 
-// CheckDeterminism is oracle 3 on its own: replay DoubleChecker single-run
-// mode at every worker count and require byte-identical rendered reports,
-// deterministic telemetry snapshots, and violation signatures. Returns a
-// diagnosis naming the first divergence found.
-func CheckDeterminism(ctx context.Context, d *trace.Data, pcdWorkers []int) (bool, string, error) {
-	if len(pcdWorkers) == 0 {
-		pcdWorkers = []int{0, 2, 4}
+// determinismAnalyses are the analyses oracle 3 replays: both of
+// DoubleChecker's logging configurations, its unlogged first run, and both
+// Velodrome variants.
+var determinismAnalyses = []core.Analysis{
+	core.DCSingle, core.DCFirst, core.PCDOnly, core.Velodrome, core.VelodromeUnsound,
+}
+
+// CheckDeterminism is oracle 3 on its own: replay the trace twice under each
+// analysis, each replay with a fresh cost.Default() meter, and require
+// byte-identical rendered reports, violation signatures and deterministic
+// telemetry snapshots, and equal cost reports. Returns a diagnosis naming
+// the analysis and the first divergence found.
+func CheckDeterminism(ctx context.Context, d *trace.Data) (bool, string, error) {
+	type outcome struct {
+		report, sigs string
+		tel          []byte
+		cost         cost.Report
 	}
-	var refReport string
-	var refTel []byte
-	var refSigs string
-	for i, w := range pcdWorkers {
-		res, err := core.RunTrace(ctx, d, core.Config{Analysis: core.DCSingle, PCDWorkers: w})
+	replay := func(a core.Analysis) (outcome, error) {
+		res, err := core.RunTrace(ctx, d, core.Config{Analysis: a, Meter: cost.NewMeter(cost.Default())})
 		if err != nil {
-			return false, "", fmt.Errorf("pcd-workers=%d: %w", w, err)
+			return outcome{}, fmt.Errorf("%v: %w", a, err)
 		}
-		if len(res.PCDQuarantined) != 0 {
-			return false, fmt.Sprintf("pcd-workers=%d quarantined %d SCC(s)", w, len(res.PCDQuarantined)), nil
+		return outcome{
+			report: core.ReplayReport(d.Header.Source, d, res),
+			sigs:   fmt.Sprint(core.ViolationSignatures(res, d.Header.Program)),
+			tel:    res.Telemetry.Deterministic().JSON(),
+			cost:   res.Cost,
+		}, nil
+	}
+	for _, a := range determinismAnalyses {
+		first, err := replay(a)
+		if err != nil {
+			return false, "", err
 		}
-		report := core.ReplayReport(d.Header.Source, d, res)
-		tel := res.Telemetry.Deterministic().JSON()
-		sigs := fmt.Sprint(core.ViolationSignatures(res, d.Header.Program))
-		if i == 0 {
-			refReport, refTel, refSigs = report, tel, sigs
-			continue
+		second, err := replay(a)
+		if err != nil {
+			return false, "", err
 		}
 		switch {
-		case report != refReport:
-			return false, fmt.Sprintf("report bytes diverge at pcd-workers=%d vs %d", w, pcdWorkers[0]), nil
-		case sigs != refSigs:
-			return false, fmt.Sprintf("violation signatures diverge at pcd-workers=%d vs %d", w, pcdWorkers[0]), nil
-		case !bytes.Equal(tel, refTel):
-			return false, fmt.Sprintf("deterministic telemetry diverges at pcd-workers=%d vs %d", w, pcdWorkers[0]), nil
+		case second.report != first.report:
+			return false, fmt.Sprintf("%v: report bytes diverge between replays", a), nil
+		case second.sigs != first.sigs:
+			return false, fmt.Sprintf("%v: violation signatures diverge between replays", a), nil
+		case !bytes.Equal(second.tel, first.tel):
+			return false, fmt.Sprintf("%v: deterministic telemetry diverges between replays", a), nil
+		case second.cost != first.cost:
+			return false, fmt.Sprintf("%v: cost diverges between replays (%d vs %d units)", a, first.cost.Total, second.cost.Total), nil
 		}
 	}
 	return true, "", nil
@@ -283,7 +293,7 @@ func CheckTriple(ctx context.Context, src Source, seed int64, sched NamedSchedul
 	if err != nil {
 		return TripleResult{}, nil, err
 	}
-	r, err := CheckData(ctx, d, opts.PCDWorkers)
+	r, err := CheckData(ctx, d)
 	r.Triple = Triple{Source: src.Name, Sched: sched.Name, Seed: seed}
 	return r, d, err
 }
@@ -383,7 +393,7 @@ type EnumReport struct {
 // scheduling decisions per run) and checks the three oracles on each one.
 // maxRuns caps the walk as a safety net against schedule-tree explosion; 0
 // means no cap.
-func Enumerate(ctx context.Context, src Source, stepLimit int, maxRuns uint64, pcdWorkers []int) (*EnumReport, error) {
+func Enumerate(ctx context.Context, src Source, stepLimit int, maxRuns uint64) (*EnumReport, error) {
 	en := vm.NewEnumerator(stepLimit)
 	rep := &EnumReport{Source: src.Name}
 	sched := NamedScheduler{Name: "enumerate", New: func(int64) vm.Scheduler { return en }}
@@ -395,7 +405,7 @@ func Enumerate(ctx context.Context, src Source, stepLimit int, maxRuns uint64, p
 		if err != nil {
 			return rep, err
 		}
-		r, err := CheckData(ctx, d, pcdWorkers)
+		r, err := CheckData(ctx, d)
 		if err != nil {
 			return rep, err
 		}

@@ -86,7 +86,7 @@ func TestEnumerateTinyCorpus(t *testing.T) {
 		tp := tp
 		t.Run(tp.Name, func(t *testing.T) {
 			rep, err := Enumerate(ctx, Source{Name: tp.Name, Prog: tp.Prog, Atomic: tp.Atomic},
-				64, 0, []int{0, 2})
+				64, 0)
 			if err != nil {
 				t.Fatalf("enumerate: %v", err)
 			}
@@ -141,7 +141,7 @@ func TestCheckTripleAcrossSchedulers(t *testing.T) {
 
 // TestGoldenCorpusOracles runs all three oracles on every committed golden
 // trace: the frozen interleavings must satisfy soundness, precision, and
-// pool determinism just like freshly explored ones.
+// repeat determinism just like freshly explored ones.
 func TestGoldenCorpusOracles(t *testing.T) {
 	ctx := context.Background()
 	paths, err := filepath.Glob("../../testdata/traces/*.dct")
@@ -155,7 +155,7 @@ func TestGoldenCorpusOracles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
-			r, err := CheckData(ctx, d, []int{0, 2, 4})
+			r, err := CheckData(ctx, d)
 			if err != nil {
 				t.Fatalf("check: %v", err)
 			}

@@ -243,7 +243,7 @@ func WriteRepro(d *trace.Data, path, provenance string) error {
 // shrinkAndWrite minimizes a failing triple's trace against "the same oracle
 // still fails" and writes the repro into opts.ReproDir.
 func shrinkAndWrite(ctx context.Context, d *trace.Data, r TripleResult, opts Options) (string, int, error) {
-	pred := FailurePredicate(ctx, r, opts.PCDWorkers)
+	pred := FailurePredicate(ctx, r)
 	small := Shrink(d, pred)
 	name := fmt.Sprintf("%s_%s_seed%d.dct", sanitize(r.Source), sanitize(r.Sched), r.Seed)
 	path := filepath.Join(opts.ReproDir, name)
@@ -257,7 +257,7 @@ func shrinkAndWrite(ctx context.Context, d *trace.Data, r TripleResult, opts Opt
 // FailurePredicate builds the shrinker predicate matching r's failure kind:
 // an agreement failure must still disagree, a determinism failure must still
 // diverge.
-func FailurePredicate(ctx context.Context, r TripleResult, pcdWorkers []int) Predicate {
+func FailurePredicate(ctx context.Context, r TripleResult) Predicate {
 	if !r.Agree {
 		return func(d *trace.Data) bool {
 			td, err := core.DiffTrace(ctx, d)
@@ -265,7 +265,7 @@ func FailurePredicate(ctx context.Context, r TripleResult, pcdWorkers []int) Pre
 		}
 	}
 	return func(d *trace.Data) bool {
-		ok, _, err := CheckDeterminism(ctx, d, pcdWorkers)
+		ok, _, err := CheckDeterminism(ctx, d)
 		return err == nil && !ok
 	}
 }

@@ -37,15 +37,15 @@ type CrosscheckData struct {
 
 // Crosscheck runs the schedule-exploration cross-checking experiment: the
 // paper's soundness (§3: ICD over-approximates PCD) and precision (§5:
-// DoubleChecker ≡ Velodrome at blamed-method granularity) theorems plus the
-// PCD pool's determinism contract, checked on every explored execution.
+// DoubleChecker ≡ Velodrome at blamed-method granularity) theorems plus
+// repeat determinism, checked on every explored execution.
 func (r *Runner) Crosscheck() (*CrosscheckData, error) {
 	ctx := context.Background()
 	data := &CrosscheckData{Budget: r.opts.CrosscheckBudget, SeedBase: 1}
 	for _, tp := range workloads.Tiny() {
 		rep, err := crosscheck.Enumerate(ctx,
 			crosscheck.Source{Name: tp.Name, Prog: tp.Prog, Atomic: tp.Atomic},
-			crosscheckEnumStepLimit, crosscheckEnumMaxRuns, []int{0, 2})
+			crosscheckEnumStepLimit, crosscheckEnumMaxRuns)
 		if err != nil {
 			return nil, fmt.Errorf("enumerate %s: %w", tp.Name, err)
 		}

@@ -35,8 +35,8 @@ type ObsOverheadBench struct {
 	// must sit in the noise (~1.0 against a build without obs at all);
 	// this field instead reports what turning tracing ON costs.
 	Overhead float64 `json:"overhead_enabled_vs_disabled"`
-	// Spans is how many spans one serial (PCDWorkers=0) traced replay
-	// records — deterministic for a fixed trace.
+	// Spans is how many spans one traced replay records — deterministic
+	// for a fixed trace.
 	Spans int `json:"spans"`
 	// SpanNames are the distinct span names seen, sorted (deterministic).
 	SpanNames []string `json:"span_names"`

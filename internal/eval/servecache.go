@@ -126,7 +126,7 @@ func (r *Runner) ServeCache() (*ServeCacheData, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := server.New(server.Config{Cache: cache, PCDBudget: 4}).Handler()
+		h := server.New(server.Config{Cache: cache}).Handler()
 		bm := ServeCacheBench{Name: name}
 		var colds, warms, coals []float64
 		for t := 0; t < trials; t++ {

@@ -31,7 +31,7 @@ type chromeFile struct {
 // are clamped to the export instant so the file stays loadable. Lanes
 // ("tid"s) are assigned greedily: a span lands on the first lane whose
 // open intervals all enclose it, so parent/child spans nest on one lane
-// and genuinely concurrent spans (PCD pool workers, coalesced waiters)
+// and genuinely concurrent spans (coalesced waiters, a batch's traces)
 // spread onto their own lanes — the timeline reads like a thread view.
 func (t *Trace) Chrome() []byte {
 	if t == nil {

@@ -181,8 +181,8 @@ func TestChromeExport(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	a.End()
 	// Two deliberately concurrent children to force a second lane.
-	b := root.Child("pcd.pool.worker.0")
-	c := root.Child("pcd.pool.worker.1")
+	b := root.Child("lane.a")
+	c := root.Child("lane.b")
 	time.Sleep(time.Millisecond)
 	b.End()
 	c.End()
@@ -231,8 +231,8 @@ func TestChromeExport(t *testing.T) {
 	if xCount != 5 {
 		t.Fatalf("got %d X events, want 5", xCount)
 	}
-	if lanes["pcd.pool.worker.0"] == lanes["pcd.pool.worker.1"] {
-		t.Fatal("concurrent workers share a lane; expected distinct tids")
+	if lanes["lane.a"] == lanes["lane.b"] {
+		t.Fatal("concurrent spans share a lane; expected distinct tids")
 	}
 	// The unended span is clamped and flagged.
 	for _, ev := range file.TraceEvents {

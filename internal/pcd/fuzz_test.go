@@ -1,7 +1,6 @@
 package pcd
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,8 +12,8 @@ import (
 
 // violationKey renders a violation as a comparable identity: sorted cycle
 // member IDs, sorted blamed IDs, sorted blamed methods, and the detection
-// clock. The pool replays clones, so comparisons go through IDs, never
-// pointers.
+// clock. Unary segments are synthesized per replay, so comparisons go
+// through IDs, never pointers.
 func violationKey(v txn.Violation) string {
 	ids := func(txs []*txn.Txn) []uint64 {
 		out := make([]uint64, len(txs))
@@ -115,8 +114,10 @@ func buildFuzzRun(data []byte) [][]*txn.Txn {
 	return groups
 }
 
-// FuzzPCDProcess: on any synthetic SCC log, the serial checker and the
-// concurrent pool must report the identical violation sequence and stats.
+// FuzzPCDProcess: on any synthetic SCC log, two fresh checkers fed the same
+// SCC groups must report the identical violation sequence and stats — replay
+// is a function of its input alone, whatever state Process keeps between
+// SCCs or leaves on the transactions it reads.
 func FuzzPCDProcess(f *testing.F) {
 	// The canonical racy increment, a no-conflict run, and edge-heavy noise.
 	f.Add([]byte{0, 0, 10, 1, 0, 20, 0, 2, 1, 0, 0, 1, 2, 1, 0, 1, 6, 0, 1, 0, 2, 1, 0, 1, 1, 1, 0, 1})
@@ -125,29 +126,25 @@ func FuzzPCDProcess(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, order := range []ReplayOrder{BySeq, ByEdges} {
 			groups := buildFuzzRun(data)
-
-			serial := NewChecker(nil, order)
+			first, second := NewChecker(nil, order), NewChecker(nil, order)
 			for _, g := range groups {
-				serial.Process(g)
+				first.Process(g)
 			}
-
-			pool := NewPool(PoolConfig{Workers: 3, Order: order})
 			for _, g := range groups {
-				pool.Submit(g)
+				second.Process(g)
 			}
-			merged := pool.Drain(context.Background())
 
-			sk, pk := violationKeys(serial.Violations()), violationKeys(merged.Violations)
-			if len(sk) != len(pk) {
-				t.Fatalf("order %v: serial %d violations %v, pool %d %v", order, len(sk), sk, len(pk), pk)
+			fk, sk := violationKeys(first.Violations()), violationKeys(second.Violations())
+			if len(fk) != len(sk) {
+				t.Fatalf("order %v: first replay %d violations %v, second %d %v", order, len(fk), fk, len(sk), sk)
 			}
-			for i := range sk {
-				if sk[i] != pk[i] {
-					t.Fatalf("order %v: violation %d: serial %q pool %q", order, i, sk[i], pk[i])
+			for i := range fk {
+				if fk[i] != sk[i] {
+					t.Fatalf("order %v: violation %d: first %q second %q", order, i, fk[i], sk[i])
 				}
 			}
-			if serial.Stats() != merged.Stats {
-				t.Fatalf("order %v: stats serial %+v pool %+v", order, serial.Stats(), merged.Stats)
+			if first.Stats() != second.Stats() {
+				t.Fatalf("order %v: stats first %+v second %+v", order, first.Stats(), second.Stats())
 			}
 		}
 	})

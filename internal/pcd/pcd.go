@@ -73,9 +73,7 @@ type Checker struct {
 
 	violations []txn.Violation
 	seen       map[string]bool     // cycle identity (sorted txn IDs) dedup
-	seenTxns   map[uint64]struct{} // distinct txn IDs sent to PCD (nil on shards)
-	deferred   bool                // shard mode: record Finds, defer dedup/blame
-	finds      []Find
+	seenTxns   map[uint64]struct{} // distinct txn IDs sent to PCD
 	stats      Stats
 	reg        *telemetry.Registry // nil: no metrics, phase spans trace only
 	tel        *tel
@@ -90,20 +88,7 @@ func (c *Checker) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	c.reg = reg
-	c.tel = newTel(reg)
-}
-
-// SetTraceSpan attaches a request-scoped parent span: each SCC's pcd.replay
-// phase span — and the pcd.blame spans nested in it — then also appear in
-// the trace tree. The zero Span (the default) keeps them out.
-func (c *Checker) SetTraceSpan(sp obs.Span) { c.tspan = sp }
-
-// newTel resolves the full PCD handle set eagerly. The pool calls it too
-// (before any SCC exists), so a zero-SCC run registers the same metric names
-// under the serial and the pooled paths — a requirement of the byte-identical
-// Deterministic() snapshot contract.
-func newTel(reg *telemetry.Registry) *tel {
-	return &tel{
+	c.tel = &tel{
 		sccs:     reg.Counter(telemetry.PCDSCCs),
 		txns:     reg.Counter(telemetry.PCDTxns),
 		txnsSent: reg.Counter(telemetry.PCDTxnsSent),
@@ -113,6 +98,11 @@ func newTel(reg *telemetry.Registry) *tel {
 		fieldMap: reg.Histogram(telemetry.PCDFieldMap, telemetry.MapSizeBuckets),
 	}
 }
+
+// SetTraceSpan attaches a request-scoped parent span: each SCC's pcd.replay
+// phase span — and the pcd.blame spans nested in it — then also appear in
+// the trace tree. The zero Span (the default) keeps them out.
+func (c *Checker) SetTraceSpan(sp obs.Span) { c.tspan = sp }
 
 // tempAlloc meters a replay-temporary allocation.
 func (c *Checker) tempAlloc(n int64) {
@@ -131,54 +121,6 @@ func NewChecker(meter *cost.Meter, order ReplayOrder) *Checker {
 		seen:     make(map[string]bool),
 		seenTxns: make(map[uint64]struct{}),
 	}
-}
-
-// NewShard returns a pool-worker checker: Process records raw cycle Finds
-// instead of deduplicating and assigning blame, and distinct-transaction
-// accounting is left to the pool (which sees SCCs in hand-off order).
-// Deferring both is what makes the merged result independent of how SCCs
-// were assigned to workers: cross-SCC dedup keeps the first find in hand-off
-// order, and blame runs exactly once per distinct cycle — just as the serial
-// checker behaves.
-func NewShard(meter *cost.Meter, order ReplayOrder) *Checker {
-	return &Checker{meter: meter, order: order, deferred: true}
-}
-
-// Find is one raw precise cycle recorded by a shard in deferred mode: the
-// cycle path, the detection clock, and the PDG edge orders of the cycle's
-// adjacent pairs — everything blame assignment (txn.BlameWith) will ask for,
-// captured before the per-Process PDG is discarded.
-type Find struct {
-	Cycle []*txn.Txn
-	Seq   uint64
-	Out   []uint64 // Out[i] orders the Cycle[i] -> Cycle[i+1] edge
-	OutOK []bool
-}
-
-// Violation runs blame assignment over the find, exactly as the serial
-// checker would have at detection time.
-func (f *Find) Violation() txn.Violation {
-	n := len(f.Cycle)
-	idx := make(map[*txn.Txn]int, n)
-	for i, tx := range f.Cycle {
-		idx[tx] = i
-	}
-	order := func(src, dst *txn.Txn) (uint64, bool) {
-		i, ok := idx[src]
-		if !ok || f.Cycle[(i+1)%n] != dst || !f.OutOK[i] {
-			return 0, false
-		}
-		return f.Out[i], true
-	}
-	return txn.NewViolationWith(f.Cycle, f.Seq, order)
-}
-
-// TakeFinds returns and clears the cycle finds recorded in deferred (shard)
-// mode, in discovery order.
-func (c *Checker) TakeFinds() []Find {
-	f := c.finds
-	c.finds = nil
-	return f
 }
 
 // Violations returns the distinct precise violations found so far.
@@ -282,16 +224,11 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	inSCC := make(map[*txn.Txn]bool, len(scc))
 	for _, tx := range scc {
 		inSCC[tx] = true
-		// Shards (seenTxns nil) skip distinct accounting: per-shard sets
-		// would depend on which worker got which SCC, so the pool tracks
-		// distinct IDs at submission instead.
-		if c.seenTxns != nil {
-			if _, ok := c.seenTxns[tx.ID]; !ok {
-				c.seenTxns[tx.ID] = struct{}{}
-				c.stats.DistinctTxns++
-				if c.tel != nil {
-					c.tel.txnsSent.Inc()
-				}
+		if _, ok := c.seenTxns[tx.ID]; !ok {
+			c.seenTxns[tx.ID] = struct{}{}
+			c.stats.DistinctTxns++
+			if c.tel != nil {
+				c.tel.txnsSent.Inc()
 			}
 		}
 	}
@@ -445,15 +382,6 @@ func (c *Checker) addPDGEdge(replay obs.Span, g *pdg, src, dst *txn.Txn, seq uin
 	c.stats.PreciseCycles++
 	if c.tel != nil {
 		c.tel.cycles.Inc()
-	}
-	if c.deferred {
-		n := len(path)
-		f := Find{Cycle: path, Seq: seq, Out: make([]uint64, n), OutOK: make([]bool, n)}
-		for i := range path {
-			f.Out[i], f.OutOK[i] = g.order(path[i], path[(i+1)%n])
-		}
-		c.finds = append(c.finds, f)
-		return found
 	}
 	key := cycleKey(path)
 	if c.seen[key] {

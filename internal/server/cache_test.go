@@ -48,7 +48,7 @@ func TestCacheContractGoldenCorpus(t *testing.T) {
 	if err != nil || len(traces) == 0 {
 		t.Fatalf("golden corpus: %v (%d traces)", err, len(traces))
 	}
-	_, ts, reg := newCachedServer(t, server.Config{PCDBudget: 4},
+	_, ts, reg := newCachedServer(t, server.Config{},
 		store.Config{MemBudget: store.DefaultMemBudget})
 	for _, path := range traces {
 		raw, err := os.ReadFile(path)
@@ -260,7 +260,7 @@ func TestCacheConcurrentIdenticalUploads(t *testing.T) {
 	}
 	want := dcheckReplay(t, path)
 	_, ts, reg := newCachedServer(t,
-		server.Config{PCDBudget: 3, MaxConcurrent: 16, MaxQueue: 16},
+		server.Config{MaxConcurrent: 16, MaxQueue: 16},
 		store.Config{MemBudget: store.DefaultMemBudget})
 
 	const n = 12
@@ -386,7 +386,6 @@ func TestChaosCacheFailClosed(t *testing.T) {
 	s, ts, reg := newCachedServer(t, server.Config{
 		MaxConcurrent: 4,
 		MaxQueue:      4,
-		PCDBudget:     4,
 		DrainTimeout:  5 * time.Second,
 	}, store.Config{Dir: dir})
 

@@ -37,7 +37,6 @@ func TestChaosSustainedAvailability(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{
 		MaxConcurrent:    3,
 		MaxQueue:         2,
-		PCDBudget:        4,
 		AllowFaults:      true,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Hour,

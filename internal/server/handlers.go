@@ -186,8 +186,7 @@ func (s *Server) admitOrReject(w http.ResponseWriter, r *http.Request) func() {
 
 // handleCheckTrace checks an uploaded .dct trace: POST /check with the raw
 // trace as the body. Query parameters: analysis (default dc-single), name
-// (the display name in the report; default "upload"), pcd-workers (PCD pool
-// grant to request; default Config.PCDPerRequest). The 200 response body is
+// (the display name in the report; default "upload"). The 200 response body is
 // byte-identical to `dcheck -replay` on the same file — whether computed
 // cold, served from the result store, or coalesced onto another request's
 // in-flight run.
@@ -210,12 +209,6 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 	displayName := q.Get("name")
 	if displayName == "" {
 		displayName = "upload"
-	}
-	want, perr := intParam(q.Get("pcd-workers"), s.cfg.PCDPerRequest)
-	if perr != nil {
-		s.reg.Counter(telemetry.ServerBadRequests).Inc()
-		s.writeErr(w, http.StatusBadRequest, "bad-request", perr.Error(), 0)
-		return
 	}
 
 	// Buffer the bounded body: the cache key hashes the raw bytes, and it
@@ -259,7 +252,7 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		report, cf := runSupervised(s, r, bkey, analysisName, hdr.Seed,
 			func(ctx context.Context, seed int64) (string, error) {
-				res, err := s.runTrace(ctx, d, analysis, want)
+				res, err := s.runTrace(ctx, d, analysis)
 				if err != nil {
 					return "", err
 				}
@@ -286,7 +279,7 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 		case leader:
 			gsp.SetStr("state", "lead")
 			gsp.End()
-			s.leadCheck(w, r, ckey, flight, bkey, analysisName, analysis, body, displayName, want)
+			s.leadCheck(w, r, ckey, flight, bkey, analysisName, analysis, body, displayName)
 			return
 		}
 		gsp.SetStr("state", "coalesce")
@@ -334,15 +327,9 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runTrace replays one decoded trace under the shared PCD budget.
-func (s *Server) runTrace(ctx context.Context, d *trace.Data, analysis core.Analysis, want int) (*core.Result, error) {
-	grant := s.pcd.acquire(want)
-	defer s.pcd.release(grant)
-	return core.RunTrace(ctx, d, core.Config{
-		Analysis:   analysis,
-		Telemetry:  s.reg,
-		PCDWorkers: grant,
-	})
+// runTrace replays one decoded trace into the server's registry.
+func (s *Server) runTrace(ctx context.Context, d *trace.Data, analysis core.Analysis) (*core.Result, error) {
+	return core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: s.reg})
 }
 
 // leadCheck is the singleflight leader's path: admit, decode, run the
@@ -350,7 +337,7 @@ func (s *Server) runTrace(ctx context.Context, d *trace.Data, analysis core.Anal
 // answer its own request as a miss. Every exit calls Finish exactly once —
 // an abandoned flight would strand its waiters until drain.
 func (s *Server) leadCheck(w http.ResponseWriter, r *http.Request, ckey store.Key, flight *store.Flight,
-	bkey, analysisName string, analysis core.Analysis, body []byte, displayName string, want int) {
+	bkey, analysisName string, analysis core.Analysis, body []byte, displayName string) {
 
 	lsp, lctx := obs.StartSpan(r.Context(), telemetry.SpanLeadCheck)
 	defer lsp.End()
@@ -377,7 +364,7 @@ func (s *Server) leadCheck(w http.ResponseWriter, r *http.Request, ckey store.Ke
 
 	res, cf := runSupervised(s, r, bkey, analysisName, d.Header.Seed,
 		func(ctx context.Context, seed int64) (*core.Result, error) {
-			return s.runTrace(ctx, d, analysis, want)
+			return s.runTrace(ctx, d, analysis)
 		})
 	if cf != nil {
 		fail(cf)
@@ -391,14 +378,9 @@ func (s *Server) leadCheck(w http.ResponseWriter, r *http.Request, ckey store.Ke
 		Violations: len(res.Violations),
 		Blamed:     res.BlamedMethodNames(d.Header.Program),
 	}
-	// A run that quarantined PCD worker panics still answered — serve it,
-	// share it with this flight's waiters — but do not make a transient
-	// degradation permanent by persisting it.
-	if len(res.PCDQuarantined) == 0 {
-		psp, _ := obs.StartSpan(r.Context(), telemetry.SpanStorePut)
-		s.cache.Put(ckey, entry)
-		psp.End()
-	}
+	psp, _ := obs.StartSpan(r.Context(), telemetry.SpanStorePut)
+	s.cache.Put(ckey, entry)
+	psp.End()
 	s.cache.Finish(ckey, flight, entry, nil)
 	s.writeCached(w, displayName, entry, "miss")
 }
@@ -430,10 +412,9 @@ func (s *Server) handleCheckWorkload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seed, serr := int64Param(q.Get("seed"), 1)
-	want, perr := intParam(q.Get("pcd-workers"), s.cfg.PCDPerRequest)
-	if serr != nil || perr != nil {
+	if serr != nil {
 		s.reg.Counter(telemetry.ServerBadRequests).Inc()
-		s.writeErr(w, http.StatusBadRequest, "bad-request", errors.Join(serr, perr).Error(), 0)
+		s.writeErr(w, http.StatusBadRequest, "bad-request", serr.Error(), 0)
 		return
 	}
 	plan, ferr := faultPlan(q)
@@ -468,15 +449,12 @@ func (s *Server) handleCheckWorkload(w http.ResponseWriter, r *http.Request) {
 
 	report, cf := runSupervised(s, r, "workload:"+name, analysisName, seed,
 		func(ctx context.Context, trialSeed int64) (string, error) {
-			grant := s.pcd.acquire(want)
-			defer s.pcd.release(grant)
 			cfg := core.Config{
-				Analysis:   analysis,
-				Seed:       trialSeed,
-				Sched:      vm.NewSticky(trialSeed, built.Stickiness),
-				Atomic:     sp.Atomic,
-				Telemetry:  s.reg,
-				PCDWorkers: grant,
+				Analysis:  analysis,
+				Seed:      trialSeed,
+				Sched:     vm.NewSticky(trialSeed, built.Stickiness),
+				Atomic:    sp.Atomic,
+				Telemetry: s.reg,
 			}
 			if plan != nil {
 				cfg.WrapInst = func(inner vm.Instrumentation) vm.Instrumentation {
@@ -610,18 +588,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ready")
-}
-
-// intParam parses an optional non-negative integer query parameter.
-func intParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad integer parameter %q", s)
-	}
-	return n, nil
 }
 
 // int64Param parses an optional int64 query parameter.

@@ -4,8 +4,8 @@
 //
 // Every check request gets its own obs.Trace; the root span is threaded
 // through the request context so the whole pipeline — admission wait,
-// singleflight, supervise attempts, core run, checker phases, per-worker
-// PCD replay, store traffic — nests under it. The trace ID rides back on
+// singleflight, supervise attempts, core run, checker phases, PCD replay,
+// store traffic — nests under it. The trace ID rides back on
 // the X-DC-Trace-Id response header, and the finished trace stays
 // fetchable at /debug/traces/<id> (Chrome trace-event JSON, loadable in
 // Perfetto) until the bounded retention ring evicts it.

@@ -53,27 +53,22 @@ func wellFormedSpans(t *testing.T, traceID string, spans []obs.SpanRecord) {
 	}
 }
 
-// spanNames returns the set of span names in a snapshot, with worker-indexed
-// names collapsed onto their prefix.
+// spanNames counts the spans of a snapshot by name.
 func spanNames(spans []obs.SpanRecord) map[string]int {
 	names := make(map[string]int)
 	for _, sp := range spans {
-		name := sp.Name
-		if strings.HasPrefix(name, telemetry.SpanPCDPoolWorker) {
-			name = telemetry.SpanPCDPoolWorker
-		}
-		names[name]++
+		names[sp.Name]++
 	}
 	return names
 }
 
 // TestConcurrentCheckSpanTreesWellFormed is the observability contract under
 // contention (run it with -race): many concurrent identical uploads — one
-// singleflight leader driving PCD pool workers, the rest coalesced waiters —
-// each get their own trace, every trace is a well-formed closed span tree,
-// and the spans tell the true story: the leader's trace spans admission →
-// supervise → core run → per-worker PCD replay → store put, while every
-// follower either coalesced or hit the cache.
+// singleflight leader, the rest coalesced waiters — each get their own
+// trace, every trace is a well-formed closed span tree, and the spans tell
+// the true story: the leader's trace spans admission → supervise → core run
+// → PCD replay → store put, while every follower either coalesced or hit
+// the cache.
 func TestConcurrentCheckSpanTreesWellFormed(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("../../testdata/traces", "sccring.dct"))
 	if err != nil {
@@ -83,7 +78,7 @@ func TestConcurrentCheckSpanTreesWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Cache: cache, MaxConcurrent: 4, PCDBudget: 4, PCDPerRequest: 2})
+	s := New(Config{Cache: cache, MaxConcurrent: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -94,7 +89,7 @@ func TestConcurrentCheckSpanTreesWellFormed(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/check?pcd-workers=2", "application/octet-stream", bytes.NewReader(raw))
+			resp, err := http.Post(ts.URL+"/check", "application/octet-stream", bytes.NewReader(raw))
 			if err != nil {
 				t.Errorf("upload %d: %v", i, err)
 				return
@@ -131,11 +126,11 @@ func TestConcurrentCheckSpanTreesWellFormed(t *testing.T) {
 		if names[telemetry.SpanLeadCheck] > 0 {
 			leaders++
 			// The leader's trace must span the whole pipeline, down to the
-			// per-worker PCD replays and the result-store insert.
+			// PCD replays and the result-store insert.
 			for _, want := range []string{
 				telemetry.SpanQueueWait, telemetry.SpanTrial, telemetry.SpanTrialAttempt,
 				telemetry.SpanCoreRun, telemetry.SpanExecute, telemetry.SpanICDSCC,
-				telemetry.SpanPCDHandoff, telemetry.SpanPCDPoolWorker, telemetry.SpanStorePut,
+				telemetry.SpanPCDReplay, telemetry.SpanStorePut,
 			} {
 				if names[want] == 0 {
 					t.Errorf("leader trace %s: no %s span (have %v)", id, want, names)

@@ -12,13 +12,9 @@
 //     request timeout as its trial budget, threaded into core via the
 //     existing context plumbing;
 //   - circuit breaking: repeated failures of the same key (a workload, a
-//     trace's program+spec identity) with the same supervise.PanicDigest
+//     trace's program+spec identity) with the same panic stack digest
 //     open that key's circuit — the poisoned input is quarantined with 503
 //     while healthy traffic keeps flowing;
-//   - concurrency governance: a global PCD worker budget shared across
-//     in-flight requests; a request gets concurrent SCC replay only when
-//     budget is available, and reports are byte-identical either way (the
-//     PR 4 pool's determinism contract);
 //   - graceful drain: StartDrain stops admission (readyz flips to 503, new
 //     checks are rejected), WaitDrain finishes in-flight work within the
 //     drain deadline and cancels whatever remains;
@@ -28,7 +24,7 @@
 //     checker run, and every 200 carries X-DC-Cache: hit|miss|coalesced.
 //
 // A report served for a trace is byte-identical to `dcheck -replay` on the
-// same file at any worker budget, cached or cold: hit and miss paths both
+// same file, cached or cold: hit and miss paths both
 // render through core.ReplayReportFrom, and a corrupt cache entry is a
 // quarantined miss, never an answer.
 package server
@@ -64,16 +60,9 @@ type Config struct {
 	// MaxBodyBytes bounds an uploaded trace body; larger uploads get 413
 	// (default DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// PCDBudget is the global number of PCD pool workers shared across all
-	// in-flight requests (default DefaultPCDBudget). 0 keeps the default;
-	// negative disables pooled replay entirely.
-	PCDBudget int
-	// PCDPerRequest is how many pool workers one request asks for (default
-	// DefaultPCDPerRequest). The grant is whatever the budget has left;
-	// under 2, the request replays serially — same bytes out either way.
-	PCDPerRequest int
-	// Retries is how many extra attempts a transient failure earns, and
-	// RetryBackoff the doubling pause between them (defaults 1 and 50ms).
+	// Retries is how many extra attempts a transient failure earns; 0 means
+	// none. RetryBackoff is the doubling pause between attempts (default
+	// 50ms).
 	Retries      int
 	RetryBackoff time.Duration
 	// BreakerThreshold and BreakerCooldown tune the circuit breaker
@@ -119,8 +108,6 @@ const (
 	DefaultRequestTimeout = 60 * time.Second
 	DefaultDrainTimeout   = 10 * time.Second
 	DefaultMaxBodyBytes   = 32 << 20
-	DefaultPCDBudget      = 8
-	DefaultPCDPerRequest  = 4
 	DefaultRetryBackoff   = 50 * time.Millisecond
 	DefaultWorkloadScale  = 0.2
 )
@@ -141,19 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if c.PCDBudget == 0 {
-		c.PCDBudget = DefaultPCDBudget
-	}
-	if c.PCDBudget < 0 {
-		c.PCDBudget = 0
-	}
-	if c.PCDPerRequest <= 0 {
-		c.PCDPerRequest = DefaultPCDPerRequest
-	}
 	if c.Retries < 0 {
 		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = DefaultRetryBackoff
@@ -183,8 +159,7 @@ type Server struct {
 
 	slots   chan struct{} // checking slots (admission's running half)
 	waiting counterGauge  // admission queue depth
-	pcd     *workerBudget
-	cache   *store.Store // nil: caching disabled
+	cache   *store.Store  // nil: caching disabled
 
 	log     *obs.Logger         // nil-safe structured log
 	rec     *obs.FlightRecorder // shared flight recorder ring
@@ -215,7 +190,6 @@ func New(cfg Config) *Server {
 			Cooldown:  cfg.BreakerCooldown,
 		}),
 		slots:          make(chan struct{}, cfg.MaxConcurrent),
-		pcd:            newWorkerBudget(cfg.PCDBudget, cfg.Telemetry.Gauge(telemetry.ServerPCDBudgetInUse)),
 		cache:          cfg.Cache,
 		log:            cfg.Logger,
 		rec:            cfg.Recorder,
@@ -410,57 +384,5 @@ func (c *counterGauge) dec() {
 	c.n--
 	if c.gauge != nil {
 		c.gauge.Set(float64(c.n))
-	}
-}
-
-// workerBudget is the global PCD pool budget shared by all in-flight
-// requests: a request is granted up to `want` workers if at least two are
-// free (a pool under two workers is just a slower serial path), and returns
-// them when its check completes. Reports are byte-identical at any grant —
-// the pool's determinism contract — so the budget trades only latency,
-// never answers.
-type workerBudget struct {
-	mu    sync.Mutex
-	avail int
-	total int
-	gauge *telemetry.Gauge
-}
-
-func newWorkerBudget(total int, g *telemetry.Gauge) *workerBudget {
-	return &workerBudget{avail: total, total: total, gauge: g}
-}
-
-// acquire grants min(want, available) workers, or 0 when fewer than two are
-// free. Callers pass the grant as Config.PCDWorkers (0 selects serial
-// replay) and must release it afterwards.
-func (b *workerBudget) acquire(want int) int {
-	if want < 2 {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.avail < 2 {
-		return 0
-	}
-	n := want
-	if n > b.avail {
-		n = b.avail
-	}
-	b.avail -= n
-	if b.gauge != nil {
-		b.gauge.Set(float64(b.total - b.avail))
-	}
-	return n
-}
-
-func (b *workerBudget) release(n int) {
-	if n == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.avail += n
-	if b.gauge != nil {
-		b.gauge.Set(float64(b.total - b.avail))
 	}
 }

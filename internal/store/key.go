@@ -5,18 +5,15 @@
 // and PCD layers (a replayed report is a pure function of the trace bytes
 // and the analysis) is what makes each field's inclusion or exclusion
 // sound; DESIGN.md §12 maps every field to the contract clause that
-// justifies it. Two deliberate choices:
+// justifies it.
 //
-//   - BodyDigest hashes the raw trace bytes. The header fields (program and
-//     spec digests, seed, scheduler) identify the *intended* execution, but
-//     two byte-different traces can share a header — a full recording and a
-//     step-limited partial recording of the same schedule, for instance —
-//     and they may check differently. Hashing the content closes that hole:
-//     byte-different traces never collide, which is what "content-addressed"
-//     promises.
-//   - The PCD worker count is excluded. The pool's determinism contract
-//     (PR 4) makes reports byte-identical at any worker budget, so caching
-//     per budget would only shred the hit rate.
+// BodyDigest deliberately hashes the raw trace bytes. The header fields
+// (program and spec digests, seed, scheduler) identify the *intended*
+// execution, but two byte-different traces can share a header — a full
+// recording and a step-limited partial recording of the same schedule, for
+// instance — and they may check differently. Hashing the content closes
+// that hole: byte-different traces never collide, which is what
+// "content-addressed" promises.
 package store
 
 import (

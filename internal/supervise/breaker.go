@@ -52,8 +52,8 @@ const (
 
 // Breaker is a keyed circuit breaker over repeated supervised failures: the
 // key names what keeps failing (a workload, a trace's program+spec identity)
-// and the digest names how it fails (PanicDigest's stable fingerprint, or
-// any stable failure label). After Threshold consecutive same-digest
+// and the digest names how it fails (TrialFailure.StackDigest's stable
+// fingerprint, or any stable failure label). After Threshold consecutive same-digest
 // failures the key's circuit opens: further work on that key is rejected —
 // quarantined — until the cooldown admits one probe. The rest of the
 // system keeps serving healthy keys; this is PR 1's panic quarantine lifted

@@ -360,20 +360,6 @@ func runAttempt[T any](ctx context.Context, timeout time.Duration, seed int64,
 // stripped: the same checker bug digests identically across trials, seeds,
 // and processes, so repeated failures can be recognized as one bug.
 func stackDigest(stack []byte) string {
-	return digestBelow(stack, "supervise.runAttempt")
-}
-
-// PanicDigest hashes a panic stack captured with debug.Stack into the same
-// stable fingerprint TrialFailure carries. Other recovery points — the PCD
-// worker pool quarantining a per-SCC panic — use it so one underlying bug
-// digests identically whether a trial supervisor or a pool worker caught it.
-func PanicDigest(stack []byte) string {
-	return digestBelow(stack, "supervise.runAttempt", "pcd.(*Pool).runJob")
-}
-
-// digestBelow implements stack digesting, cutting the trace at the first
-// frame matching any of the recover-point markers.
-func digestBelow(stack []byte, stops ...string) string {
 	lines := strings.Split(string(stack), "\n")
 	// The traceback reads: deferred recover frames, runtime.gopanic (shown
 	// as "panic(...)"), the panic site's frames, then the recover point and
@@ -386,13 +372,10 @@ func digestBelow(stack []byte, stops ...string) string {
 		}
 	}
 	end := len(lines)
-scan:
 	for i := start; i < len(lines); i++ {
-		for _, stop := range stops {
-			if strings.Contains(lines[i], stop) {
-				end = i
-				break scan
-			}
+		if strings.Contains(lines[i], "supervise.runAttempt") {
+			end = i
+			break
 		}
 	}
 	var b strings.Builder

@@ -34,17 +34,6 @@ const (
 	PCDFieldMap   = "pcd.field_map.size"
 	PCDTxFraction = "pcd.replayed_tx_fraction"
 
-	// Concurrent PCD pool (paper §5.3: PCD off the critical path). Everything
-	// under LiveOnlyPrefix reflects scheduling — worker count, queue timing,
-	// per-worker load — rather than the analyzed execution, so
-	// Snapshot.Deterministic() strips the whole namespace: a run's
-	// deterministic snapshot is byte-identical across worker counts.
-	PCDPoolWorkers     = "pcd.pool.workers"         // gauge: configured worker goroutines
-	PCDPoolJobs        = "pcd.pool.jobs"            // counter: SCCs handed off
-	PCDPoolDropped     = "pcd.pool.dropped"         // counter: queued jobs skipped by abort
-	PCDPoolQuarantined = "pcd.pool.quarantined"     // counter: worker panics quarantined
-	PCDPoolQueueMax    = "pcd.pool.queue_depth_max" // gauge: peak queued-job backlog
-
 	// Velodrome baseline (paper §2, §4).
 	VeloMetadataUpdates = "velo.metadata_updates"
 	VeloEdges           = "velo.edges"
@@ -82,11 +71,10 @@ const (
 	ServerBreakerRejected = "server.breaker.rejected"   // 503: key quarantined
 	ServerInFlight        = "server.in_flight"          // gauge: checks running now
 	ServerQueueDepth      = "server.queue_depth"        // gauge: requests waiting for a slot
-	ServerPCDBudgetInUse  = "server.pcd_budget_in_use"  // gauge: PCD workers granted
 	ServerDraining        = "server.draining"           // gauge: 1 while draining
 
 	// Result store (internal/store): content-addressed check-result cache.
-	// The whole namespace is live-only (see liveOnlyPrefixes): cache
+	// The whole namespace is live-only (see liveOnlyPrefix): cache
 	// occupancy and hit rates describe process history, not the analyzed
 	// execution, and a cached report is byte-identical to a cold run by
 	// contract.
@@ -119,12 +107,6 @@ const (
 	SpanPCDReplay = "pcd.replay" // one PCD Process (SCC replay)
 	SpanPCDBlame  = "pcd.blame"  // blame assignment for a found cycle
 	SpanVeloGC    = "velo.gc"    // Velodrome transaction-graph collection
-
-	// Pool spans (live-only; see LiveOnlyPrefix). The hand-off span is the
-	// critical-path side of the split — the VM thread cloning an SCC for the
-	// workers — while the per-worker spans are the off-path side.
-	SpanPCDHandoff    = "pcd.pool.handoff"
-	SpanPCDPoolWorker = "pcd.pool.worker." // prefix; the worker index is appended
 )
 
 // Request-scoped trace span names (internal/obs). The phase spans above
@@ -135,7 +117,7 @@ const (
 // quantities.
 const (
 	SpanCoreRun      = "core.run"             // one checked execution or replay, end to end
-	SpanCoreCollect  = "core.collect"         // post-execution harvest (incl. PCD pool drain)
+	SpanCoreCollect  = "core.collect"         // post-execution harvest of the findings
 	SpanTrial        = "supervise.trial"      // one supervised trial incl. retries
 	SpanTrialAttempt = "supervise.attempt"    // one attempt within a trial
 	SpanQueueWait    = "server.queue_wait"    // admission queue wait for a slot
@@ -145,18 +127,11 @@ const (
 	SpanStorePut     = "store.put"            // result-store insert
 )
 
-// LiveOnlyPrefix marks metrics that describe live pool scheduling rather
-// than the analyzed execution; Snapshot.Deterministic() removes them.
-const LiveOnlyPrefix = "pcd.pool."
-
-// StoreLiveOnlyPrefix marks the result-store namespace: hit rates and tier
+// liveOnlyPrefix marks the result-store namespace: hit rates and tier
 // occupancy depend on process history (what was cached before this run),
 // never on the analyzed execution, so Snapshot.Deterministic() removes
-// them too.
-const StoreLiveOnlyPrefix = "store."
-
-// liveOnlyPrefixes is every namespace Snapshot.Deterministic() strips.
-var liveOnlyPrefixes = []string{LiveOnlyPrefix, StoreLiveOnlyPrefix}
+// them.
+const liveOnlyPrefix = "store."
 
 // Standard bucket bounds.
 var (

@@ -77,12 +77,10 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 // Deterministic returns a copy with every nondeterministic element removed:
-// span wall times are zeroed and live-only metrics (the liveOnlyPrefixes
-// namespaces — PCD pool scheduling state such as queue depth and per-worker
-// load, and result-store cache occupancy) are dropped entirely. Two
-// identical replays of the same trace yield byte-identical JSON encodings
-// of the result, regardless of PCD worker count, interleaving, or cache
-// history.
+// span wall times are zeroed and live-only metrics (the liveOnlyPrefix
+// namespace: result-store cache occupancy and hit rates) are dropped
+// entirely. Two identical replays of the same trace yield byte-identical
+// JSON encodings of the result, regardless of cache history.
 func (s *Snapshot) Deterministic() *Snapshot {
 	out := &Snapshot{
 		Counters:   dropLive(s.Counters),
@@ -100,18 +98,11 @@ func (s *Snapshot) Deterministic() *Snapshot {
 	return out
 }
 
-// isLiveOnly reports whether a metric name falls in a namespace that
+// isLiveOnly reports whether a metric name falls in the namespace that
 // Deterministic() strips.
-func isLiveOnly(name string) bool {
-	for _, p := range liveOnlyPrefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
+func isLiveOnly(name string) bool { return strings.HasPrefix(name, liveOnlyPrefix) }
 
-// dropLive filters the live-only namespaces out of one metric map,
+// dropLive filters the live-only namespace out of one metric map,
 // returning the input untouched (no copy) when nothing matches.
 func dropLive[V any](m map[string]V) map[string]V {
 	live := 0

@@ -21,6 +21,8 @@
 package velodrome
 
 import (
+	"slices"
+
 	"doublechecker/internal/cost"
 	"doublechecker/internal/graph"
 	"doublechecker/internal/obs"
@@ -122,6 +124,10 @@ type Checker struct {
 	violations []txn.Violation
 	stats      Stats
 	sinceGC    uint64
+
+	// readers is write's reusable buffer for walking a field's readers in
+	// thread order.
+	readers []vm.ThreadID
 
 	tel *tel
 }
@@ -304,9 +310,26 @@ func (c *Checker) write(md *metadata, cur *txn.Txn, seq uint64) {
 	if md.lastWrite != nil && md.lastWrite.Thread != cur.Thread {
 		c.addEdge(md.lastWrite, cur, seq)
 	}
-	for t, rd := range md.lastReads {
-		if t != cur.Thread {
-			c.addEdge(rd, cur, seq)
+	if len(md.lastReads) < 2 {
+		for t, rd := range md.lastReads {
+			if t != cur.Thread {
+				c.addEdge(rd, cur, seq)
+			}
+		}
+	} else {
+		// Several readers: add their anti-dependence edges in thread order.
+		// Each edge's cycle check charges per visited node, and the edges
+		// added before it decide what it visits, so map order would move the
+		// metered cost from one run of the same trace to the next.
+		c.readers = c.readers[:0]
+		for t := range md.lastReads {
+			c.readers = append(c.readers, t)
+		}
+		slices.Sort(c.readers)
+		for _, t := range c.readers {
+			if t != cur.Thread {
+				c.addEdge(md.lastReads[t], cur, seq)
+			}
 		}
 	}
 	md.lastWrite = cur

@@ -9,8 +9,8 @@ import (
 // SCC-stress workloads: synthetic programs whose imprecise dependence graphs
 // collapse into many large strongly connected components. The paper's suite
 // mostly produces small, sparse SCCs (Table 3); these generators instead
-// maximize SCC size and count so the concurrent PCD pool sees a steady
-// stream of substantial replay jobs. Each one partitions time into epochs
+// maximize SCC size and count so PCD sees a steady stream of substantial
+// replays. Each one partitions time into epochs
 // over distinct objects: dependence edges never leave an epoch's objects and
 // per-thread program order only points forward, so every epoch contributes
 // its own SCCs and the component count scales with the epoch count.

@@ -74,8 +74,8 @@ func All() []string {
 }
 
 // Stress returns the names of the SCC-stress workloads: synthetic graphs
-// with many large strongly connected components, built to exercise the
-// concurrent PCD hand-off rather than reproduce any paper benchmark.
+// with many large strongly connected components, built to stress PCD
+// replay rather than reproduce any paper benchmark.
 func Stress() []string {
 	names := make([]string, len(stressRegistry))
 	for i, w := range stressRegistry {

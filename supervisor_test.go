@@ -338,13 +338,19 @@ func TestTrialDeadlineOnOneSeedKeepsOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	const targetSeed = 2
+	// The deadline leaves the healthy seeds wide headroom: a slowSource
+	// trial takes tens of milliseconds, even under -race on a loaded host.
+	// The target seed's one stall, at its first access, outlasts the
+	// deadline by itself, so that seed times out however fast the rest of
+	// its run goes.
+	const deadline = time.Second
 	injected := opts
-	injected.TrialTimeout = 50 * time.Millisecond
+	injected.TrialTimeout = deadline
 	injected.inject = func(a core.Analysis, seed int64, cfg *core.Config) {
 		if a == core.DCSingle && seed == targetSeed {
 			cfg.WrapInst = func(in vm.Instrumentation) vm.Instrumentation {
 				return faultinject.Inst(in, &faultinject.Plan{
-					StallAtAccess: 1, StallEveryAccess: 1, StallFor: 2 * time.Millisecond,
+					StallAtAccess: 1, StallFor: deadline + deadline/2,
 				})
 			}
 		}
