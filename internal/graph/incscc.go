@@ -361,7 +361,12 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 		k++
 	}
 	mergedOrd := g.pool[k]
-	k++
+	// The rest of deltaF takes the top slots, as deltaB took the bottom
+	// ones: each of its components then moves up, never down, so an edge
+	// into it from a window component outside deltaF ∪ deltaB (which
+	// keeps its slot) still points upward. The len(S)-1 slots between the
+	// merged component and the rest of deltaF go unused.
+	k = len(g.pool) - len(g.fx)
 	for _, r := range g.fx {
 		g.nodes[r].ord = g.pool[k]
 		k++

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -22,6 +23,17 @@ func newIncModel() *incModel {
 func (m *incModel) succ(n int) []int { return m.succs[n] }
 
 func (m *incModel) include(n int) bool { return m.active[n] && !m.dead[n] }
+
+// nodes returns every node the model has seen, in ascending order, so that
+// walks over the model do not depend on map iteration order.
+func (m *incModel) nodes() []int {
+	out := make([]int, 0, len(m.succs))
+	for n := range m.succs {
+		out = append(out, n)
+	}
+	sort.Ints(out)
+	return out
+}
 
 // refComponent is the scan engine's answer: the cyclic SCC containing n over
 // the active, live subgraph, or nil.
@@ -52,7 +64,7 @@ func equalSets(a, b []int) bool {
 // every live node.
 func checkAgainstRef(t *testing.T, g *IncSCC[int], m *incModel, ctx string) {
 	t.Helper()
-	for n := range m.succs {
+	for _, n := range m.nodes() {
 		if m.dead[n] {
 			continue
 		}
@@ -185,11 +197,51 @@ func TestIncSCCActivationOrder(t *testing.T) {
 	checkAgainstRef(t, g, m, "full activation")
 }
 
+// TestIncSCCCycleKeepsForwardSideOnTop replays 13 operations that once hit
+// a reorder bug in the cycle case: the insertion closing a cycle gave the
+// forward-only components the slots just above the merged component, not
+// the top of the window, so one could drop below a predecessor outside the
+// window, and a later forward search was pruned at it. The engine then
+// reported node 5's component as {5}; Tarjan finds {5, 10, 11}.
+func TestIncSCCCycleKeepsForwardSideOnTop(t *testing.T) {
+	m := newIncModel()
+	g := NewIncSCC(func(n int) bool { return m.active[n] })
+	ops := []struct {
+		activate bool
+		a, b     int
+	}{
+		{true, 12, 0}, {false, 12, 13}, {false, 13, 11}, {false, 10, 11},
+		{false, 13, 8}, {true, 13, 0}, {false, 8, 12}, {true, 10, 0},
+		{true, 11, 0}, {false, 11, 5}, {true, 8, 0}, {true, 5, 0},
+		{false, 5, 10},
+	}
+	for i, op := range ops {
+		for _, n := range []int{op.a, op.b} {
+			if _, ok := m.succs[n]; !ok {
+				m.succs[n] = nil
+			}
+		}
+		if op.activate {
+			m.active[op.a] = true
+			g.Activate(op.a)
+		} else {
+			m.succs[op.a] = append(m.succs[op.a], op.b)
+			g.AddEdge(op.a, op.b)
+		}
+		checkAgainstRef(t, g, m, fmt.Sprintf("op %d", i+1))
+	}
+	if got := g.CyclicComponent(5, nil); !equalSets(got, []int{5, 10, 11}) {
+		t.Fatalf("comp of 5: got %v, want [5 10 11]", sortedCopy(got))
+	}
+}
+
 // TestIncSCCRandomized is the differential property test: random edge
 // streams with interleaved activations and ICD-style reachability GC,
-// compared against SCCFrom after every step.
+// compared against SCCFrom after every step. Every walk over the model is in
+// node order, so a seed names one schedule; seed 157 is one that the
+// cycle-case reorder bug pinned above broke.
 func TestIncSCCRandomized(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
+	for seed := int64(1); seed <= 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := newIncModel()
 		g := NewIncSCC(func(n int) bool { return m.active[n] })
@@ -228,7 +280,7 @@ func TestIncSCCRandomized(t *testing.T) {
 					continue
 				}
 				roots := make([]int, 0, 8)
-				for n := range m.succs {
+				for _, n := range m.nodes() {
 					if m.dead[n] {
 						continue
 					}
@@ -256,7 +308,7 @@ func TestIncSCCRandomized(t *testing.T) {
 						}
 					}
 				}
-				for n := range m.succs {
+				for _, n := range m.nodes() {
 					if !m.dead[n] && !reach[n] {
 						m.dead[n] = true
 						g.Release(n)
@@ -269,12 +321,11 @@ func TestIncSCCRandomized(t *testing.T) {
 		// Final SCC multiset comparison: every cyclic component the scan
 		// engine finds, the incremental engine must report identically.
 		var all []int
-		for n := range m.succs {
+		for _, n := range m.nodes() {
 			if m.include(n) {
 				all = append(all, n)
 			}
 		}
-		sort.Ints(all)
 		seen := make(map[int]bool)
 		for _, comps := range SCCAll(all, m.succ, m.include) {
 			if len(comps) == 1 && !HasSelfLoop(comps[0], func(n int) []int {
