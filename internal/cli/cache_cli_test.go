@@ -94,30 +94,6 @@ func TestDCheckReplayStatsJSONBypassesCache(t *testing.T) {
 	}
 }
 
-// TestDCBenchServeCache: the servecache experiment runs end to end and
-// writes its JSON dump with the headline median.
-func TestDCBenchServeCache(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "BENCH_servecache.json")
-	var out, errb bytes.Buffer
-	code := DCBench([]string{
-		"-experiment", "servecache", "-scale", "0.2", "-trials", "1",
-		"-servecache-out", outPath,
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "corpus median warm speedup") {
-		t.Errorf("output:\n%s", out.String())
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"median_speedup_warm"`) {
-		t.Errorf("dump:\n%s", data)
-	}
-}
-
 // TestDCTraceReplayCacheDir: the trace tool's replay fan-out shares one
 // cache directory; warm runs produce identical lines.
 func TestDCTraceReplayCacheDir(t *testing.T) {

@@ -2,8 +2,11 @@ package cli
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -250,12 +253,61 @@ func TestDCBenchRejectsBadNumbers(t *testing.T) {
 	}
 }
 
+// TestDCBenchUnknownExperiment: an unknown or retired experiment name exits 2
+// before any side effect, and the message lists the valid names.
 func TestDCBenchUnknownExperiment(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := DCBench([]string{"-experiment", "nope"}, &out, &errb); code != 2 {
-		t.Errorf("exit %d, want 2", code)
+	// Fatal, not Error: a build that accepted a retired name would run it
+	// and write its dump into the working directory.
+	for _, name := range []string{"nope", "servecache", "obsoverhead"} {
+		csvDir := filepath.Join(t.TempDir(), "csv")
+		var out, errb bytes.Buffer
+		if code := DCBench([]string{"-experiment", name, "-csv", csvDir}, &out, &errb); code != 2 {
+			t.Fatalf("%s: exit %d, want 2", name, code)
+		}
+		if msg := errb.String(); !strings.Contains(msg, "unknown experiment") || !strings.Contains(msg, "fig7") {
+			t.Fatalf("%s: stderr does not list the experiments:\n%s", name, msg)
+		}
+		if _, err := os.Stat(csvDir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: -csv directory was touched before the rejection (stat: %v)", name, err)
+		}
 	}
-	if !strings.Contains(errb.String(), "unknown experiment") {
-		t.Errorf("stderr:\n%s", errb.String())
+}
+
+// TestDocsNameLiveExperimentsAndDumps: every `dcbench -experiment NAME` in
+// the user-facing docs names an experiment dcbench runs, and every
+// BENCH_*.json they cite is committed at the repo root. ROADMAP.md and
+// CHANGES.md record history, so they are not scanned.
+func TestDocsNameLiveExperimentsAndDumps(t *testing.T) {
+	root := filepath.Join("..", "..")
+	known := map[string]bool{"all": true}
+	for _, e := range experiments {
+		known[e.name] = true
+	}
+	// The flag and its value may sit on two lines of a wrapped paragraph.
+	expRe := regexp.MustCompile(`dcbench\s+-experiment\s+([\w-]+)`)
+	dumpRe := regexp.MustCompile(`BENCH_\w+\.json`)
+	var exps, dumps int
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := func(off int) int { return bytes.Count(text[:off], []byte("\n")) + 1 }
+		for _, m := range expRe.FindAllSubmatchIndex(text, -1) {
+			exps++
+			if name := string(text[m[2]:m[3]]); !known[name] {
+				t.Errorf("%s:%d: dcbench has no experiment %q", doc, line(m[0]), name)
+			}
+		}
+		for _, m := range dumpRe.FindAllIndex(text, -1) {
+			dumps++
+			name := string(text[m[0]:m[1]])
+			if _, err := os.Stat(filepath.Join(root, name)); err != nil {
+				t.Errorf("%s:%d: cites %s, which is not at the repo root", doc, line(m[0]), name)
+			}
+		}
+	}
+	if exps == 0 || dumps == 0 {
+		t.Errorf("scanned %d experiment names and %d dump names; the patterns no longer match the docs", exps, dumps)
 	}
 }

@@ -7,11 +7,139 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"doublechecker/internal/eval"
 )
+
+// benchRun is what an experiment may use: the shared runner and the
+// destinations of its CSV and dump files.
+type benchRun struct {
+	runner  *eval.Runner
+	csvDir  string
+	telOut  string
+	xchkOut string
+	stdout  io.Writer
+}
+
+// dump writes one output file and announces it on stdout.
+func (b *benchRun) dump(path string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(b.stdout, "[wrote %s]\n", path)
+	return nil
+}
+
+// csv writes one CSV into the -csv directory, if one was given.
+func (b *benchRun) csv(name, content string) error {
+	if b.csvDir == "" {
+		return nil
+	}
+	return b.dump(filepath.Join(b.csvDir, name), []byte(content))
+}
+
+// experiments is dcbench's experiment set in the order -experiment all runs
+// it. Each run writes its own files and returns the table to print.
+var experiments = []struct {
+	name string
+	run  func(*benchRun) (string, error)
+}{
+	{"table2", func(b *benchRun) (string, error) {
+		d, err := b.runner.Table2()
+		if err != nil {
+			return "", err
+		}
+		if err := b.csv("table2.csv", d.CSVTable2()); err != nil {
+			return "", err
+		}
+		return d.RenderTable2(), nil
+	}},
+	{"fig7", func(b *benchRun) (string, error) {
+		d, err := b.runner.Figure7()
+		if err != nil {
+			return "", err
+		}
+		if err := b.csv("fig7.csv", d.CSVFigure7()); err != nil {
+			return "", err
+		}
+		return d.RenderFigure7(), nil
+	}},
+	{"table3", func(b *benchRun) (string, error) {
+		d, err := b.runner.Table3()
+		if err != nil {
+			return "", err
+		}
+		if err := b.csv("table3.csv", d.CSVTable3()); err != nil {
+			return "", err
+		}
+		return d.RenderTable3(), nil
+	}},
+	{"refine-overhead", func(b *benchRun) (string, error) {
+		d, err := b.runner.RefinementStages()
+		if err != nil {
+			return "", err
+		}
+		return d.RenderRefineStages(), nil
+	}},
+	{"arrays", func(b *benchRun) (string, error) {
+		d, err := b.runner.Arrays()
+		if err != nil {
+			return "", err
+		}
+		return d.RenderArrays(), nil
+	}},
+	{"ablations", func(b *benchRun) (string, error) {
+		d, err := b.runner.Ablations()
+		if err != nil {
+			return "", err
+		}
+		if err := b.csv("ablations.csv", d.CSVAblations()); err != nil {
+			return "", err
+		}
+		return d.RenderAblations(), nil
+	}},
+	{"filter-precision", func(b *benchRun) (string, error) {
+		d, err := b.runner.FilterPrecision()
+		if err != nil {
+			return "", err
+		}
+		return d.RenderFilterPrecision(), nil
+	}},
+	{"pcd-only", func(b *benchRun) (string, error) {
+		d, err := b.runner.PCDOnly()
+		if err != nil {
+			return "", err
+		}
+		return d.RenderPCDOnly(), nil
+	}},
+	{"telemetry", func(b *benchRun) (string, error) {
+		d, err := b.runner.Telemetry()
+		if err != nil {
+			return "", err
+		}
+		if err := b.dump(b.telOut, d.JSON()); err != nil {
+			return "", err
+		}
+		return d.RenderTelemetry(), nil
+	}},
+	{"crosscheck", func(b *benchRun) (string, error) {
+		d, err := b.runner.Crosscheck()
+		if err != nil {
+			return "", err
+		}
+		// The dump is written even when an oracle fails: it is the evidence.
+		if err := b.dump(b.xchkOut, d.JSON()); err != nil {
+			return "", err
+		}
+		if !d.OK() {
+			return "", fmt.Errorf("oracle failure (see %s)", b.xchkOut)
+		}
+		return d.RenderCrosscheck(), nil
+	}},
+}
 
 // DCBench runs the dcbench tool: regenerate the paper's evaluation. It
 // returns a process exit code.
@@ -25,9 +153,13 @@ func DCBench(args []string, stdout, stderr io.Writer) int {
 func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
 	var (
-		experiment = fs.String("experiment", "all",
-			"one of: table2, fig7, table3, refine-overhead, arrays, ablations, filter-precision, pcd-only, telemetry, servecache, obsoverhead, crosscheck, all")
+		experiment = fs.String("experiment", "all", "one of: "+strings.Join(names, ", "))
 		scale      = fs.Float64("scale", 0.5, "workload scale factor")
 		trials     = fs.Int("trials", 5, "performance trials per configuration")
 		stable     = fs.Int("stable", 4, "consecutive quiet trials ending refinement (paper: 10)")
@@ -36,8 +168,6 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 		csvDir     = fs.String("csv", "", "also write machine-readable CSVs into this directory")
 		budget     = fs.Int64("budget-kb", 0, "model a heap limit: flag Figure 7 rows whose live analysis bytes exceed this (KiB)")
 		telOut     = fs.String("telemetry-out", "BENCH_telemetry.json", "output path for the telemetry experiment's JSON dump")
-		cacheOut   = fs.String("servecache-out", "BENCH_servecache.json", "output path for the servecache experiment's JSON dump")
-		obsOut     = fs.String("obs-out", "BENCH_obs.json", "output path for the obsoverhead experiment's JSON dump")
 		xchkOut    = fs.String("crosscheck-out", "BENCH_crosscheck.json", "output path for the crosscheck experiment's JSON dump (byte-reproducible at a fixed budget)")
 		xchkBudget = fs.Int("crosscheck-budget", 0, "crosscheck sweep triple budget (0: default 120)")
 	)
@@ -46,6 +176,8 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 	}
 	var bad string
 	switch {
+	case !slices.Contains(names, *experiment):
+		bad = fmt.Sprintf("unknown experiment %q (want one of: %s)", *experiment, strings.Join(names, ", "))
 	case !(*scale > 0):
 		bad = fmt.Sprintf("-scale %v must be positive", *scale)
 	case *trials < 1:
@@ -80,202 +212,23 @@ func DCBenchContext(ctx context.Context, args []string, stdout, stderr io.Writer
 			return 1
 		}
 	}
-	if code := runExperiments(ctx, *experiment, *csvDir, *telOut, *cacheOut, *obsOut, *xchkOut, eval.NewRunner(opts), stdout, stderr); code != 0 {
-		return code
-	}
-	return 0
-}
-
-// runExperiments dispatches the experiment set; split out for testing.
-func runExperiments(ctx context.Context, experiment, csvDir, telOut, cacheOut, obsOut, xchkOut string, runner *eval.Runner, stdout, stderr io.Writer) int {
-	writeCSV := func(name, content string) bool {
-		if csvDir == "" {
-			return true
+	b := &benchRun{runner: eval.NewRunner(opts), csvDir: *csvDir, telOut: *telOut, xchkOut: *xchkOut, stdout: stdout}
+	for _, e := range experiments {
+		if *experiment != "all" && e.name != *experiment {
+			continue
 		}
-		path := filepath.Join(csvDir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fmt.Fprintln(stderr, "dcbench:", err)
-			return false
-		}
-		fmt.Fprintf(stdout, "[wrote %s]\n", path)
-		return true
-	}
-	run := func(name string, f func() (string, error)) bool {
 		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(stderr, "dcbench: canceled before %s: %v\n", name, err)
-			return false
+			fmt.Fprintf(stderr, "dcbench: canceled before %s: %v\n", e.name, err)
+			return 1
 		}
 		start := time.Now()
-		out, err := f()
+		out, err := e.run(b)
 		if err != nil {
-			fmt.Fprintf(stderr, "dcbench: %s: %v\n", name, err)
-			return false
+			fmt.Fprintf(stderr, "dcbench: %s: %v\n", e.name, err)
+			return 1
 		}
 		fmt.Fprintln(stdout, out)
-		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		return true
-	}
-
-	all := experiment == "all"
-	ran := false
-	ok := true
-	if ok && (all || experiment == "table2") {
-		ok = run("table2", func() (string, error) {
-			d, err := runner.Table2()
-			if err != nil {
-				return "", err
-			}
-			if !writeCSV("table2.csv", d.CSVTable2()) {
-				return "", fmt.Errorf("csv write failed")
-			}
-			return d.RenderTable2(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "fig7") {
-		ok = run("fig7", func() (string, error) {
-			d, err := runner.Figure7()
-			if err != nil {
-				return "", err
-			}
-			if !writeCSV("fig7.csv", d.CSVFigure7()) {
-				return "", fmt.Errorf("csv write failed")
-			}
-			return d.RenderFigure7(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "table3") {
-		ok = run("table3", func() (string, error) {
-			d, err := runner.Table3()
-			if err != nil {
-				return "", err
-			}
-			if !writeCSV("table3.csv", d.CSVTable3()) {
-				return "", fmt.Errorf("csv write failed")
-			}
-			return d.RenderTable3(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "refine-overhead") {
-		ok = run("refine-overhead", func() (string, error) {
-			d, err := runner.RefinementStages()
-			if err != nil {
-				return "", err
-			}
-			return d.RenderRefineStages(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "arrays") {
-		ok = run("arrays", func() (string, error) {
-			d, err := runner.Arrays()
-			if err != nil {
-				return "", err
-			}
-			return d.RenderArrays(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "ablations") {
-		ok = run("ablations", func() (string, error) {
-			d, err := runner.Ablations()
-			if err != nil {
-				return "", err
-			}
-			if !writeCSV("ablations.csv", d.CSVAblations()) {
-				return "", fmt.Errorf("csv write failed")
-			}
-			return d.RenderAblations(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "filter-precision") {
-		ok = run("filter-precision", func() (string, error) {
-			d, err := runner.FilterPrecision()
-			if err != nil {
-				return "", err
-			}
-			return d.RenderFilterPrecision(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "pcd-only") {
-		ok = run("pcd-only", func() (string, error) {
-			d, err := runner.PCDOnly()
-			if err != nil {
-				return "", err
-			}
-			return d.RenderPCDOnly(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "telemetry") {
-		ok = run("telemetry", func() (string, error) {
-			d, err := runner.Telemetry()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(telOut, d.JSON(), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(stdout, "[wrote %s]\n", telOut)
-			return d.RenderTelemetry(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "servecache") {
-		ok = run("servecache", func() (string, error) {
-			d, err := runner.ServeCache()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(cacheOut, d.JSON(), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(stdout, "[wrote %s]\n", cacheOut)
-			return d.RenderServeCache(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "obsoverhead") {
-		ok = run("obsoverhead", func() (string, error) {
-			d, err := runner.ObsOverhead()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(obsOut, d.JSON(), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(stdout, "[wrote %s]\n", obsOut)
-			return d.RenderObsOverhead(), nil
-		})
-		ran = true
-	}
-	if ok && (all || experiment == "crosscheck") {
-		ok = run("crosscheck", func() (string, error) {
-			d, err := runner.Crosscheck()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(xchkOut, d.JSON(), 0o644); err != nil {
-				return "", err
-			}
-			fmt.Fprintf(stdout, "[wrote %s]\n", xchkOut)
-			if !d.OK() {
-				return d.RenderCrosscheck(), fmt.Errorf("oracle failure (see %s)", xchkOut)
-			}
-			return d.RenderCrosscheck(), nil
-		})
-		ran = true
-	}
-	if !ok {
-		return 1
-	}
-	if !ran {
-		fmt.Fprintf(stderr, "dcbench: unknown experiment %q\n", experiment)
-		return 2
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

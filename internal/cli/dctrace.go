@@ -203,19 +203,13 @@ type recordOpts struct {
 // recordTrace executes prog once, teeing its event stream into a trace file
 // at outPath. On any failure the partial file is removed.
 func recordTrace(ctx context.Context, prog *vm.Program, sp *spec.Spec, outPath string, o recordOpts) (*core.Result, error) {
-	var atomicIDs []vm.MethodID
-	for _, m := range prog.Methods {
-		if sp.Atomic(m.ID) {
-			atomicIDs = append(atomicIDs, m.ID)
-		}
-	}
 	f, err := os.Create(outPath)
 	if err != nil {
 		return nil, err
 	}
 	w, err := trace.NewWriter(f, trace.Header{
 		Program: prog,
-		Atomic:  atomicIDs,
+		Atomic:  sp.AtomicMethods(),
 		Seed:    o.seed,
 		Sched:   fmt.Sprintf("sticky(%g)", o.sticky),
 		Source:  o.source,
@@ -232,7 +226,6 @@ func recordTrace(ctx context.Context, prog *vm.Program, sp *spec.Spec, outPath s
 			Atomic:   sp.Atomic,
 			MaxSteps: o.maxSteps,
 		},
-		Source: o.source,
 	})
 	if err != nil {
 		f.Close()

@@ -225,7 +225,10 @@ type RecordConfig struct {
 	// Config is the checker configuration for the live run (Baseline
 	// records without checking).
 	Config
-	// Source is stored in the trace header (free-form provenance note).
+	// Source is ignored: a trace's provenance note is trace.Header.Source,
+	// which trace.NewWriter has already written before RecordRun starts.
+	//
+	// Deprecated: set trace.Header.Source on the writer instead.
 	Source string
 }
 

@@ -203,7 +203,6 @@ func Record(ctx context.Context, src Source, seed int64, sched NamedScheduler, m
 			Atomic:   src.Atomic,
 			MaxSteps: maxSteps,
 		},
-		Source: fmt.Sprintf("crosscheck:%s", src.Name),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", src.Name, err)

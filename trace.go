@@ -78,15 +78,9 @@ func RecordSourceContext(ctx context.Context, src string, w io.Writer, opts Opti
 	}
 	prog := unit.Prog
 	sp := specFromUnit(unit)
-	var atomicIDs []vm.MethodID
-	for _, m := range prog.Methods {
-		if sp.Atomic(m.ID) {
-			atomicIDs = append(atomicIDs, m.ID)
-		}
-	}
 	tw, err := trace.NewWriter(w, trace.Header{
 		Program: prog,
-		Atomic:  atomicIDs,
+		Atomic:  sp.AtomicMethods(),
 		Seed:    opts.Seed,
 		Sched:   fmt.Sprintf("sticky(%g)", opts.Stickiness),
 		Source:  prog.Name,
@@ -107,7 +101,6 @@ func RecordSourceContext(ctx context.Context, src string, w io.Writer, opts Opti
 					Atomic:   sp.Atomic,
 					MaxSteps: opts.MaxSteps,
 				},
-				Source: prog.Name,
 			})
 		})
 	if err != nil {

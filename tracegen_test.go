@@ -43,12 +43,6 @@ func TestRegenStressTraces(t *testing.T) {
 		if err := s.ExcludeByName(b.InitialExclusions...); err != nil {
 			t.Fatal(err)
 		}
-		var atomicIDs []vm.MethodID
-		for _, m := range b.Prog.Methods {
-			if s.Atomic(m.ID) {
-				atomicIDs = append(atomicIDs, m.ID)
-			}
-		}
 		path := filepath.Join(dir, name+".dct")
 		f, err := os.Create(path)
 		if err != nil {
@@ -56,7 +50,7 @@ func TestRegenStressTraces(t *testing.T) {
 		}
 		w, err := trace.NewWriter(f, trace.Header{
 			Program: b.Prog,
-			Atomic:  atomicIDs,
+			Atomic:  s.AtomicMethods(),
 			Seed:    stressTraceSeed,
 			Sched:   fmt.Sprintf("sticky(%g)", b.Stickiness),
 			Source:  name,
@@ -71,7 +65,6 @@ func TestRegenStressTraces(t *testing.T) {
 				Sched:    vm.NewSticky(stressTraceSeed, b.Stickiness),
 				Atomic:   s.Atomic,
 			},
-			Source: name,
 		})
 		if err != nil {
 			f.Close()
