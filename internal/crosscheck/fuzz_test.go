@@ -17,7 +17,7 @@ import (
 // over-approximation, never an under-approximation. Seeds are the raw bytes
 // of the golden corpus; the fuzzer mutates frames, headers, and event
 // payloads from there. Undecodable inputs are the reader's problem (covered
-// by its own fuzzing) and are skipped here.
+// by trace.FuzzRead) and are skipped here.
 func FuzzICDOverApprox(f *testing.F) {
 	paths, err := filepath.Glob("../../testdata/traces/*.dct")
 	if err != nil || len(paths) == 0 {

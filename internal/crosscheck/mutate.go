@@ -9,7 +9,7 @@ package crosscheck
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"doublechecker/internal/trace"
 	"doublechecker/internal/vm"
@@ -74,20 +74,22 @@ func PermuteThreads(d *trace.Data, perm []int) (*trace.Data, error) {
 		Complete: d.Complete,
 	}
 	nd.Header.Program = np
+	var set []vm.ThreadID
 	for i, ev := range d.Events {
 		ne := ev
 		switch ev.Kind {
 		case trace.EvThreadStart, trace.EvThreadExit, trace.EvTxBegin, trace.EvTxEnd:
 			ne.Thread = mapThread(ev.Thread)
 		case trace.EvAccess:
-			ne.Access.Thread = mapThread(ev.Access.Thread)
-			ne.Access.Obj = mapObj(ev.Access.Obj)
+			ne.Thread = mapThread(ev.Thread)
+			ne.Obj = mapObj(ev.Obj)
 		case trace.EvBlockedSet:
-			ne.Blocked = make([]vm.ThreadID, len(ev.Blocked))
-			for j, t := range ev.Blocked {
-				ne.Blocked[j] = mapThread(t)
+			set = set[:0]
+			for _, t := range d.BlockedSet(ev) {
+				set = append(set, mapThread(t))
 			}
-			sort.Slice(ne.Blocked, func(a, b int) bool { return ne.Blocked[a] < ne.Blocked[b] })
+			slices.Sort(set)
+			ne = nd.NewBlockedSet(set)
 		}
 		nd.Events[i] = ne
 	}
@@ -115,13 +117,8 @@ func ReverseThreads(d *trace.Data) (*trace.Data, error) {
 // strictly ascending. Pairs are chosen by a seeded walk; the number of swaps
 // actually applied is returned.
 func SwapCommutative(d *trace.Data, seed int64, n int) (*trace.Data, int) {
-	nd := &trace.Data{
-		Header:   d.Header,
-		Events:   make([]trace.Event, len(d.Events)),
-		Counts:   d.Counts,
-		Complete: d.Complete,
-	}
-	copy(nd.Events, d.Events)
+	nd := *d // blocked-set events keep pointing into d's arena
+	nd.Events = slices.Clone(d.Events)
 	rng := rand.New(rand.NewSource(seed))
 	swapped := 0
 	for attempts := 0; swapped < n && attempts < 16*n; attempts++ {
@@ -133,11 +130,11 @@ func SwapCommutative(d *trace.Data, seed int64, n int) (*trace.Data, int) {
 		if !commutes(a, b) {
 			continue
 		}
-		a.Access.Seq, b.Access.Seq = b.Access.Seq, a.Access.Seq
+		a.Seq, b.Seq = b.Seq, a.Seq
 		nd.Events[i], nd.Events[i+1] = b, a
 		swapped++
 	}
-	return nd, swapped
+	return &nd, swapped
 }
 
 // commutes reports whether two adjacent events may be exchanged without
@@ -150,11 +147,10 @@ func commutes(a, b trace.Event) bool {
 	if a.Kind != trace.EvAccess || b.Kind != trace.EvAccess {
 		return false
 	}
-	ax, bx := a.Access, b.Access
-	if ax.Class == vm.ClassSync || bx.Class == vm.ClassSync {
+	if a.Class == vm.ClassSync || b.Class == vm.ClassSync {
 		return false
 	}
-	return ax.Thread != bx.Thread && ax.Obj != bx.Obj
+	return a.Thread != b.Thread && a.Obj != b.Obj
 }
 
 // RenameMethods rewrites every method name to a fresh, deterministic name

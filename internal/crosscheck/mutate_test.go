@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"doublechecker/internal/core"
 	"doublechecker/internal/trace"
+	"doublechecker/internal/vm"
 )
 
 // goldenTraces returns the committed golden corpus paths.
@@ -73,17 +75,68 @@ func TestMutationInvarianceGoldenCorpus(t *testing.T) {
 	}
 }
 
+// sameEvents reports the first difference between two traces' event
+// streams, comparing blocked-set events by the threads they mark blocked.
+func sameEvents(a, b *trace.Data) error {
+	if len(a.Events) != len(b.Events) {
+		return fmt.Errorf("%d events vs %d", len(a.Events), len(b.Events))
+	}
+	for i, x := range a.Events {
+		y := b.Events[i]
+		if x.Kind == trace.EvBlockedSet && y.Kind == trace.EvBlockedSet {
+			if sa, sb := a.BlockedSet(x), b.BlockedSet(y); !slices.Equal(sa, sb) {
+				return fmt.Errorf("event %d: blocked set %v vs %v", i, sa, sb)
+			}
+			continue
+		}
+		if x != y {
+			return fmt.Errorf("event %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return nil
+}
+
+// blockedSets lists a trace's blocked sets in stream order.
+func blockedSets(d *trace.Data) [][]vm.ThreadID {
+	var sets [][]vm.ThreadID
+	for _, ev := range d.Events {
+		if ev.Kind == trace.EvBlockedSet {
+			sets = append(sets, d.BlockedSet(ev))
+		}
+	}
+	return sets
+}
+
 // TestMutantsEncode round-trips one mutant of each kind through the binary
 // format: mutations must produce traces the writer accepts and the reader
-// decodes back, byte-validated (CRC, digests, count trailer).
+// decodes back, byte-validated (CRC, digests, count trailer), to the same
+// events, blocked sets and counts. Swaps and renames keep the original's
+// blocked sets; reversing the threads twice gives back the original stream.
 func TestMutantsEncode(t *testing.T) {
 	d, err := trace.ReadFile("../../testdata/traces/tsp.dct")
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
+	orig := blockedSets(d)
+	if !slices.ContainsFunc(orig, func(s []vm.ThreadID) bool { return len(s) > 0 }) {
+		t.Fatal("the tsp trace has no non-empty blocked set to carry through the mutations")
+	}
+	sameSets := func(a, b [][]vm.ThreadID) bool {
+		return slices.EqualFunc(a, b, func(x, y []vm.ThreadID) bool { return slices.Equal(x, y) })
+	}
 	rev, err := ReverseThreads(d)
 	if err != nil {
 		t.Fatal(err)
+	}
+	revRev, err := ReverseThreads(rev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameEvents(d, revRev); err != nil {
+		t.Fatalf("reversing the threads twice changed the trace: %v", err)
+	}
+	if err := sameEvents(d, rev); err == nil {
+		t.Fatal("reversing the threads left every event unchanged")
 	}
 	swapped, n := SwapCommutative(d, 3, 16)
 	if n == 0 {
@@ -104,6 +157,12 @@ func TestMutantsEncode(t *testing.T) {
 		}
 		if back.Counts != m.Counts {
 			t.Fatalf("%s: counts changed in round-trip: %v vs %v", name, back.Counts, m.Counts)
+		}
+		if err := sameEvents(m, back); err != nil {
+			t.Fatalf("%s: events changed in round-trip: %v", name, err)
+		}
+		if name != "reverse-threads" && !sameSets(orig, blockedSets(m)) {
+			t.Fatalf("%s: blocked sets %v, want the original's %v", name, blockedSets(m), orig)
 		}
 	}
 }
@@ -155,7 +214,7 @@ func TestSwapCommutativeOnlySwapsCommutingPairs(t *testing.T) {
 		if ev.Kind != trace.EvAccess {
 			continue
 		}
-		a := ev.Access
+		a := ev.Access()
 		if a.Seq <= last {
 			t.Fatalf("access clock not ascending after swap: %d after %d", a.Seq, last)
 		}

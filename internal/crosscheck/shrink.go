@@ -95,10 +95,8 @@ func Shrink(d *trace.Data, pred Predicate) *trace.Data {
 // events (blocked-set, program-end).
 func threadOf(ev trace.Event) vm.ThreadID {
 	switch ev.Kind {
-	case trace.EvThreadStart, trace.EvThreadExit, trace.EvTxBegin, trace.EvTxEnd:
+	case trace.EvThreadStart, trace.EvThreadExit, trace.EvTxBegin, trace.EvTxEnd, trace.EvAccess:
 		return ev.Thread
-	case trace.EvAccess:
-		return ev.Access.Thread
 	}
 	return -1
 }
@@ -172,7 +170,7 @@ func tally(events []trace.Event) vm.EventCounts {
 		case trace.EvTxEnd:
 			c.TxEnds++
 		case trace.EvAccess:
-			switch ev.Access.Class {
+			switch ev.Class {
 			case vm.ClassField:
 				c.FieldAccesses++
 			case vm.ClassArray:
@@ -221,9 +219,9 @@ func WriteRepro(d *trace.Data, path, provenance string) error {
 		case trace.EvTxEnd:
 			w.TxEnd(ev.Thread, ev.Method)
 		case trace.EvAccess:
-			w.Access(ev.Access)
+			w.Access(ev.Access())
 		case trace.EvBlockedSet:
-			w.BlockedSet(ev.Blocked)
+			w.BlockedSet(d.BlockedSet(ev))
 		case trace.EvProgramEnd:
 			w.ProgramEnd()
 		}

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -213,9 +212,14 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 
 	// Buffer the bounded body: the cache key hashes the raw bytes, and it
 	// must exist before admission so hits can bypass the queue entirely. An
-	// over-limit upload fails inside ReadAll with MaxBytesError; a reset
-	// upload surfaces the transport error directly.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// over-limit upload fails inside ReadFrom with MaxBytesError; a reset
+	// upload surfaces the transport error directly. bytes.Buffer doubles as
+	// the body arrives, where io.ReadAll grows by about a quarter a step;
+	// Content-Length does not presize it, or a header alone could make the
+	// server allocate MaxBodyBytes.
+	var bodyBuf bytes.Buffer
+	_, err = bodyBuf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := bodyBuf.Bytes()
 	if err != nil {
 		s.reg.Counter(telemetry.ServerBadRequests).Inc()
 		var tooBig *http.MaxBytesError

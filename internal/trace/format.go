@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -70,6 +71,15 @@ type dec struct {
 func (d *dec) remaining() int { return len(d.b) - d.off }
 
 func (d *dec) uvarint() (uint64, error) {
+	// Most event operands fit in one byte; take those directly.
+	if d.off < len(d.b) && d.b[d.off] < 0x80 {
+		d.off++
+		return uint64(d.b[d.off-1]), nil
+	}
+	return d.longUvarint()
+}
+
+func (d *dec) longUvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad uvarint at payload offset %d", ErrCorrupt, d.off)
@@ -109,13 +119,18 @@ func (d *dec) string() (string, error) {
 	return s, nil
 }
 
-// readChunk reads one framed chunk. A zero-length chunk returns (nil, false,
-// nil): the end marker.
-func readChunk(in io.ByteReader, full io.Reader) (payload []byte, ok bool, err error) {
+// readChunk reads one framed chunk into buf, allocating a larger buffer only
+// when the payload does not fit, so the returned payload overwrites
+// whatever buf held. A zero-length chunk returns (nil, false, nil): the end
+// marker.
+func readChunk(in io.ByteReader, full io.Reader, buf []byte) (payload []byte, ok bool, err error) {
 	n, err := binary.ReadUvarint(in)
 	if err != nil {
-		if err == io.EOF {
+		switch err {
+		case io.EOF:
 			return nil, false, fmt.Errorf("%w: missing end marker", ErrTruncated)
+		case errVarintOverflow:
+			return nil, false, fmt.Errorf("%w: chunk length overflows 64 bits", ErrCorrupt)
 		}
 		return nil, false, readErr(err, "chunk length cut short")
 	}
@@ -129,7 +144,10 @@ func readChunk(in io.ByteReader, full io.Reader) (payload []byte, ok bool, err e
 	if _, err := io.ReadFull(full, crcb[:]); err != nil {
 		return nil, false, readErr(err, "chunk CRC cut short")
 	}
-	payload = make([]byte, n)
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
 	if _, err := io.ReadFull(full, payload); err != nil {
 		return nil, false, readErr(err, fmt.Sprintf("chunk payload cut short (want %d bytes)", n))
 	}
@@ -139,6 +157,14 @@ func readChunk(in io.ByteReader, full io.Reader) (payload []byte, ok bool, err e
 	}
 	return payload, true, nil
 }
+
+// errVarintOverflow is the error binary.ReadUvarint returns for a varint
+// wider than 64 bits: a malformed frame, not a failed read. The package
+// does not export it, so it is captured once here.
+var errVarintOverflow = func() error {
+	_, err := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)))
+	return err
+}()
 
 // readErr classifies an underlying read failure: a stream that simply ends
 // (EOF-shaped) is a truncated file, anything else is a transport fault

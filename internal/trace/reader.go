@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"doublechecker/internal/vm"
 )
@@ -47,14 +49,16 @@ func Read(r io.Reader) (*Data, error) {
 			ErrVersion, version, Version)
 	}
 
-	hdrPayload, ok, err := readChunk(br, br)
+	// One buffer holds each chunk's payload in turn: no decoder keeps a
+	// reference into a payload once it returns.
+	buf, ok, err := readChunk(br, br, nil)
 	if err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: missing header chunk", ErrCorrupt)
 	}
-	hdr, err := decodeHeader(hdrPayload)
+	hdr, err := decodeHeader(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -67,19 +71,20 @@ func Read(r io.Reader) (*Data, error) {
 		nObjects: hdr.Program.TotalObjects(),
 	}
 	for {
-		payload, ok, err := readChunk(br, br)
+		payload, ok, err := readChunk(br, br, buf)
 		if err != nil {
 			return nil, fmt.Errorf("events: %w", err)
 		}
 		if !ok {
 			break // end marker
 		}
+		buf = payload
 		if err := st.decodeEvents(payload, data); err != nil {
 			return nil, err
 		}
 	}
 
-	trailer, ok, err := readChunk(br, br)
+	trailer, ok, err := readChunk(br, br, buf)
 	if err != nil {
 		return nil, fmt.Errorf("trailer: %w", err)
 	}
@@ -120,7 +125,7 @@ func ReadHeader(r io.Reader) (*Header, error) {
 		return nil, fmt.Errorf("%w: file is v%d, this reader understands v%d",
 			ErrVersion, version, Version)
 	}
-	payload, ok, err := readChunk(br, br)
+	payload, ok, err := readChunk(br, br, nil)
 	if err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
@@ -241,6 +246,10 @@ type decodeState struct {
 	ended    bool
 }
 
+// minEvents is the decoded stream's first capacity. From there Data.Events
+// doubles as events arrive: no count the trace declares sizes it.
+const minEvents = 1 << 10
+
 func (st *decodeState) thread(d *dec) (vm.ThreadID, error) {
 	v, err := d.uvarint()
 	if err != nil {
@@ -263,8 +272,12 @@ func (st *decodeState) method(d *dec) (vm.MethodID, error) {
 	return vm.MethodID(v), nil
 }
 
+// decodeEvents decodes one event chunk onto data.Events. Nothing decoded
+// keeps a reference into payload, so the caller reuses its buffer for the
+// next chunk.
 func (st *decodeState) decodeEvents(payload []byte, data *Data) error {
 	d := &dec{b: payload}
+	events := data.Events
 	for d.remaining() > 0 {
 		if st.ended {
 			return fmt.Errorf("%w: events after program-end", ErrCorrupt)
@@ -273,41 +286,36 @@ func (st *decodeState) decodeEvents(payload []byte, data *Data) error {
 		if err != nil {
 			return err
 		}
+		var ev Event
 		switch {
-		case op == opThreadStart:
-			t, err := st.thread(d)
-			if err != nil {
+		case op == opThreadStart, op == opThreadExit:
+			if ev.Thread, err = st.thread(d); err != nil {
 				return err
 			}
-			st.counts.ThreadStarts++
-			data.Events = append(data.Events, Event{Kind: EvThreadStart, Thread: t})
-		case op == opThreadExit:
-			t, err := st.thread(d)
-			if err != nil {
-				return err
-			}
-			st.counts.ThreadExits++
-			data.Events = append(data.Events, Event{Kind: EvThreadExit, Thread: t})
-		case op == opTxBegin, op == opTxEnd:
-			t, err := st.thread(d)
-			if err != nil {
-				return err
-			}
-			m, err := st.method(d)
-			if err != nil {
-				return err
-			}
-			kind := EvTxBegin
-			if op == opTxEnd {
-				kind = EvTxEnd
-				st.counts.TxEnds++
+			if op == opThreadStart {
+				ev.Kind = EvThreadStart
+				st.counts.ThreadStarts++
 			} else {
-				st.counts.TxBegins++
+				ev.Kind = EvThreadExit
+				st.counts.ThreadExits++
 			}
-			data.Events = append(data.Events, Event{Kind: kind, Thread: t, Method: m})
+		case op == opTxBegin, op == opTxEnd:
+			if ev.Thread, err = st.thread(d); err != nil {
+				return err
+			}
+			if ev.Method, err = st.method(d); err != nil {
+				return err
+			}
+			if op == opTxBegin {
+				ev.Kind = EvTxBegin
+				st.counts.TxBegins++
+			} else {
+				ev.Kind = EvTxEnd
+				st.counts.TxEnds++
+			}
 		case op == opProgramEnd:
 			st.ended = true
-			data.Events = append(data.Events, Event{Kind: EvProgramEnd})
+			ev.Kind = EvProgramEnd
 		case op == opBlockedSet:
 			n, err := d.uvarint()
 			if err != nil {
@@ -317,21 +325,25 @@ func (st *decodeState) decodeEvents(payload []byte, data *Data) error {
 				return fmt.Errorf("%w: blocked set of %d threads (program has %d)",
 					ErrCorrupt, n, st.nThreads)
 			}
-			set := make([]vm.ThreadID, 0, n)
-			for i := uint64(0); i < n; i++ {
-				t, err := st.thread(d)
-				if err != nil {
+			ev.Kind = EvBlockedSet
+			if n > 0 {
+				if ev.set, err = data.arenaSet(int(n)); err != nil {
 					return err
 				}
-				set = append(set, t)
+				for i := uint64(0); i < n; i++ {
+					t, err := st.thread(d)
+					if err != nil {
+						return err
+					}
+					data.blocked = append(data.blocked, t)
+				}
 			}
-			data.Events = append(data.Events, Event{Kind: EvBlockedSet, Blocked: set})
 		case op >= opAccessBase && op <= opAccessMax:
 			bits := op - opAccessBase
-			class := vm.AccessClass(bits >> 1)
-			write := bits&1 != 0
-			t, err := st.thread(d)
-			if err != nil {
+			ev.Kind = EvAccess
+			ev.Class = vm.AccessClass(bits >> 1)
+			ev.Write = bits&1 != 0
+			if ev.Thread, err = st.thread(d); err != nil {
 				return err
 			}
 			obj, err := d.uvarint()
@@ -346,6 +358,11 @@ func (st *decodeState) decodeEvents(payload []byte, data *Data) error {
 			if err != nil {
 				return err
 			}
+			// Fields are non-negative int32s (vm.Program.Validate); a
+			// wider value would wrap into another field.
+			if field > math.MaxInt32 {
+				return fmt.Errorf("%w: field %d out of range", ErrCorrupt, field)
+			}
 			delta, err := d.uvarint()
 			if err != nil {
 				return err
@@ -353,8 +370,11 @@ func (st *decodeState) decodeEvents(payload []byte, data *Data) error {
 			if delta == 0 {
 				return fmt.Errorf("%w: access clock did not advance", ErrCorrupt)
 			}
+			if delta > math.MaxUint64-st.seq {
+				return fmt.Errorf("%w: access clock overflows (%d + %d)", ErrCorrupt, st.seq, delta)
+			}
 			st.seq += delta
-			switch class {
+			switch ev.Class {
 			case vm.ClassField:
 				st.counts.FieldAccesses++
 			case vm.ClassArray:
@@ -362,13 +382,15 @@ func (st *decodeState) decodeEvents(payload []byte, data *Data) error {
 			case vm.ClassSync:
 				st.counts.SyncAccesses++
 			}
-			data.Events = append(data.Events, Event{Kind: EvAccess, Access: vm.Access{
-				Thread: t, Obj: vm.ObjectID(obj), Field: vm.FieldID(field),
-				Write: write, Class: class, Seq: st.seq,
-			}})
+			ev.Obj, ev.Field, ev.Seq = vm.ObjectID(obj), vm.FieldID(field), st.seq
 		default:
 			return fmt.Errorf("%w: unknown opcode 0x%02x", ErrCorrupt, op)
 		}
+		if len(events) == cap(events) {
+			events = slices.Grow(events, max(len(events), minEvents))
+		}
+		events = append(events, ev)
 	}
+	data.Events = events
 	return nil
 }

@@ -88,7 +88,7 @@ func (r *Replayer) Run(ctx context.Context, inst vm.Instrumentation) error {
 			for t := range r.blocked {
 				r.blocked[t] = false
 			}
-			for _, t := range ev.Blocked {
+			for _, t := range r.data.BlockedSet(ev) {
 				r.blocked[t] = true
 			}
 		case EvThreadStart:
@@ -107,8 +107,8 @@ func (r *Replayer) Run(ctx context.Context, inst vm.Instrumentation) error {
 			inst.TxEnd(ev.Thread, ev.Method)
 		case EvAccess:
 			// The executor advances the clock, then dispatches the access.
-			r.seq = ev.Access.Seq
-			inst.Access(ev.Access)
+			r.seq = ev.Seq
+			inst.Access(ev.Access())
 		case EvProgramEnd:
 			inst.ProgramEnd()
 		}

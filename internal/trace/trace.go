@@ -44,6 +44,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"doublechecker/internal/vm"
 )
@@ -110,14 +111,35 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }
 
-// Event is one decoded trace event.
+// Event is one decoded trace event. It holds no pointer, so the garbage
+// collector never scans a decoded stream, and it packs into 32 bytes. Which
+// fields an event uses depends on its kind:
+//
+//	EvThreadStart, EvThreadExit  Thread
+//	EvTxBegin, EvTxEnd           Thread, Method
+//	EvAccess                     Thread, Obj, Field, Write, Class, Seq
+//	EvBlockedSet                 its set, through Data.BlockedSet
+//	EvProgramEnd                 none
 type Event struct {
 	Kind   EventKind
-	Thread vm.ThreadID // thread/tx events
-	Method vm.MethodID // tx events
-	Access vm.Access   // EvAccess
-	// Blocked is the new complete blocked set (EvBlockedSet).
-	Blocked []vm.ThreadID
+	Write  bool
+	Class  vm.AccessClass
+	Thread vm.ThreadID
+	Obj    vm.ObjectID
+	Field  vm.FieldID
+	Method vm.MethodID
+	// set is an EvBlockedSet's offset into its Data's blocked-set arena.
+	// The arena holds each set as its size followed by its threads, and
+	// offset 0 always reads as the empty set, so the zero Event of kind
+	// EvBlockedSet marks no thread blocked.
+	set uint32
+	Seq uint64
+}
+
+// Access returns an EvAccess event's access.
+func (e Event) Access() vm.Access {
+	return vm.Access{Thread: e.Thread, Obj: e.Obj, Field: e.Field,
+		Write: e.Write, Class: e.Class, Seq: e.Seq}
 }
 
 // Header is the self-contained metadata block at the front of every trace.
@@ -173,4 +195,50 @@ type Data struct {
 	// Complete reports whether the recorded execution ran to completion
 	// (the stream ends with a program-end event).
 	Complete bool
+	// blocked is the blocked-set arena that EvBlockedSet events point
+	// into. A copy of the Data shares it.
+	blocked []vm.ThreadID
+}
+
+// BlockedSet returns the threads an EvBlockedSet event of d marks blocked,
+// in the order recorded (ascending, as the Recorder writes them). The
+// slice aliases d's arena: do not modify it. Any other event has no set.
+func (d *Data) BlockedSet(ev Event) []vm.ThreadID {
+	if ev.Kind != EvBlockedSet || int(ev.set) >= len(d.blocked) {
+		return nil
+	}
+	at := int(ev.set) + 1
+	return d.blocked[at : at+int(d.blocked[ev.set])]
+}
+
+// NewBlockedSet stores a copy of ts in d's blocked-set arena and returns
+// the EvBlockedSet event that refers to it, for d.Events or the Events of
+// a copy of d made afterwards. Copies share the arena, so build sets
+// through one copy only.
+func (d *Data) NewBlockedSet(ts []vm.ThreadID) Event {
+	ev := Event{Kind: EvBlockedSet}
+	if len(ts) > 0 {
+		off, err := d.arenaSet(len(ts))
+		if err != nil {
+			panic(err)
+		}
+		ev.set = off
+		d.blocked = append(d.blocked, ts...)
+	}
+	return ev
+}
+
+// arenaSet appends the size entry of an n-thread set to the arena and
+// returns its offset; the caller appends the n threads. Offset 0 is the
+// shared empty set, reserved the first time the arena is used.
+func (d *Data) arenaSet(n int) (uint32, error) {
+	if len(d.blocked) == 0 {
+		d.blocked = append(d.blocked, 0)
+	}
+	if uint64(len(d.blocked))+uint64(n) >= math.MaxUint32 {
+		return 0, fmt.Errorf("%w: blocked sets exceed 2^32 threads in all", ErrCorrupt)
+	}
+	off := uint32(len(d.blocked))
+	d.blocked = append(d.blocked, vm.ThreadID(n))
+	return off, nil
 }

@@ -139,9 +139,9 @@ func TestReencodeByteIdentical(t *testing.T) {
 		case trace.EvTxEnd:
 			w.TxEnd(ev.Thread, ev.Method)
 		case trace.EvAccess:
-			w.Access(ev.Access)
+			w.Access(ev.Access())
 		case trace.EvBlockedSet:
-			w.BlockedSet(ev.Blocked)
+			w.BlockedSet(data.BlockedSet(ev))
 		case trace.EvProgramEnd:
 			w.ProgramEnd()
 		}
