@@ -34,7 +34,9 @@ import (
 // Node slots are recycled through an internal free list, so steady-state
 // operation (insert, activate, detect, release) allocates only when a
 // component's adjacency genuinely grows — the same allocation discipline the
-// txn manager applies to transaction nodes.
+// txn manager applies to transaction nodes. Reset extends that discipline
+// across graphs: it empties the engine but keeps every slot, adjacency array
+// and scratch slice for the next graph.
 type IncSCC[N comparable] struct {
 	active  func(N) bool
 	onMerge func(winner, loser N)
@@ -271,6 +273,33 @@ func (g *IncSCC[N]) Release(n N) {
 		return
 	}
 	delete(g.ids, n)
+	g.retire(s)
+	g.free = append(g.free, s)
+}
+
+// Reset empties the engine for a new graph, keeping its storage: every live
+// slot is retired as Release retires it, every slot joins the free list
+// (lowest index on top, so a new graph fills slots in the order a fresh
+// engine would), the id map is cleared, and the topological order and the
+// work counters restart from zero. The activation predicate and the merge
+// hook stay.
+func (g *IncSCC[N]) Reset() {
+	clear(g.ids)
+	g.free = g.free[:0]
+	for s := int32(len(g.nodes)) - 1; s >= 0; s-- {
+		if !g.nodes[s].dead {
+			g.retire(s)
+		}
+		g.free = append(g.free, s)
+	}
+	g.order = 0
+	g.stats = IncSCCStats{}
+}
+
+// retire kills slot s: adjacency that still names it goes stale through the
+// generation bump, its lists are emptied with their capacity kept, and its
+// value is dropped so the engine retains nothing of the caller's.
+func (g *IncSCC[N]) retire(s int32) {
 	nd := &g.nodes[s]
 	nd.dead = true
 	nd.gen++
@@ -279,7 +308,6 @@ func (g *IncSCC[N]) Release(n N) {
 	nd.pend = nd.pend[:0]
 	var zero N
 	nd.val = zero
-	g.free = append(g.free, s)
 }
 
 // insertEligible inserts a component-level edge a -> b (both endpoints

@@ -239,12 +239,20 @@ func TestIncSCCCycleKeepsForwardSideOnTop(t *testing.T) {
 // streams with interleaved activations and ICD-style reachability GC,
 // compared against SCCFrom after every step. Every walk over the model is in
 // node order, so a seed names one schedule; seed 157 is one that the
-// cycle-case reorder bug pinned above broke.
+// cycle-case reorder bug pinned above broke. All schedules run on one
+// engine, Reset between them, as ICD carries its engine from run to run:
+// the node values repeat across schedules, so anything a Reset fails to
+// forget surfaces as a wrong component.
 func TestIncSCCRandomized(t *testing.T) {
+	var m *incModel
+	g := NewIncSCC(func(n int) bool { return m.active[n] })
 	for seed := int64(1); seed <= 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := newIncModel()
-		g := NewIncSCC(func(n int) bool { return m.active[n] })
+		m = newIncModel()
+		g.Reset()
+		if g.Nodes() != 0 || g.Stats() != (IncSCCStats{}) {
+			t.Fatalf("seed %d: Reset left %d nodes and stats %+v", seed, g.Nodes(), g.Stats())
+		}
 		nodes := 3 + rng.Intn(20)
 		ensure := func(n int) {
 			if _, ok := m.succs[n]; !ok {

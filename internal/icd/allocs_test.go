@@ -3,10 +3,13 @@
 package icd
 
 import (
+	"runtime"
 	"testing"
 
 	"doublechecker/internal/cost"
+	"doublechecker/internal/spec"
 	"doublechecker/internal/vm"
+	"doublechecker/internal/workloads"
 )
 
 // fakeExec is a minimal ExecView for driving a Checker directly (no VM):
@@ -107,4 +110,58 @@ func TestICDHotPathAllocs(t *testing.T) {
 			t.Errorf("dedup path: %v allocs/op, want 0", n)
 		}
 	})
+}
+
+// TestFirstRunAllocBudget is the allocation budget of a warmed multi-run
+// first run (no logging, no SCC handoff): one sparse-multi program, hsqldb6
+// at scale 2, under the workload's sticky scheduler. Everything a run
+// allocates counts — VM, Octet, ICD, the transaction manager — divided by the
+// transactions it creates. The warm-up runs the measured schedules once, so
+// the arena each run hands the next already holds as many engine slots,
+// transaction nodes and edges as a measured run needs. The arenas go through
+// a stash, not the pool, so a garbage collection between two runs cannot
+// empty it.
+//
+// Measured 19.6 bytes per transaction (the manager's transaction list, the
+// scheduler's source, the VM's and Octet's per-run state); the budget leaves
+// 2.5x headroom. Building the graph afresh every run costs about 400.
+func TestFirstRunAllocBudget(t *testing.T) {
+	const budget = 50 // bytes per transaction
+	useArenas(t, &stash{keep: true})
+	built, err := workloads.Build("hsqldb6", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := spec.Initial(built.Prog)
+	if err := sp.ExcludeByName(built.InitialExclusions...); err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) uint64 {
+		meter := cost.NewMeter(cost.Default())
+		c := NewChecker(built.Prog, meter, Options{})
+		exec := vm.NewExec(built.Prog, vm.Config{
+			Sched: vm.NewSticky(seed, built.Stickiness), Inst: c, Atomic: sp.Atomic, Meter: meter,
+		})
+		if _, err := exec.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := c.TxnStats()
+		return st.RegularTxns + st.UnaryTxns
+	}
+	const schedules = 4
+	for seed := int64(1); seed <= schedules; seed++ {
+		run(seed)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var txns uint64
+	for seed := int64(1); seed <= schedules; seed++ {
+		txns += run(seed)
+	}
+	runtime.ReadMemStats(&after)
+	perTxn := float64(after.TotalAlloc-before.TotalAlloc) / float64(txns)
+	t.Logf("%.1f bytes per transaction over %d transactions", perTxn, txns)
+	if perTxn > budget {
+		t.Errorf("warmed first run allocates %.1f bytes per transaction, budget %d", perTxn, budget)
+	}
 }

@@ -27,6 +27,8 @@
 package icd
 
 import (
+	"sync"
+
 	"doublechecker/internal/cost"
 	"doublechecker/internal/graph"
 	"doublechecker/internal/obs"
@@ -145,6 +147,27 @@ func newTel(reg *telemetry.Registry) *tel {
 	return t
 }
 
+// arena is one run's graph storage, handed to a later run when the run
+// ends: the SCC engine in every configuration, plus the transaction manager's
+// nodes and edges from a recycling run (see recycles).
+type arena struct {
+	inc   *graph.IncSCC[*txn.Txn]
+	spare txn.Spares
+}
+
+// arenas carries arenas from ended runs to starting ones, across checkers and
+// goroutines, so a multi-run check stops rebuilding the IDG's storage at every
+// run. Tests swap in a deterministic stand-in: a sync.Pool may drop what it
+// holds (under -race, at random).
+var arenas interface {
+	Get() any
+	Put(any)
+} = new(sync.Pool)
+
+// eligible is the engine's activation predicate: only finished, uncollected
+// transactions take part in detection (§3.2.3).
+func eligible(t *txn.Txn) bool { return t.Finished && !t.Dead() }
+
 // Checker is an ICD instance; it implements vm.Instrumentation.
 type Checker struct {
 	vm.NopInst
@@ -152,8 +175,9 @@ type Checker struct {
 	meter *cost.Meter
 	opts  Options
 
-	mgr *txn.Manager
-	oct *octet.Engine
+	mgr   *txn.Manager
+	oct   *octet.Engine
+	arena *arena // between ProgramStart and ProgramEnd
 
 	lastRdEx  map[vm.ThreadID]*txn.Txn
 	gLastRdSh *txn.Txn
@@ -185,7 +209,6 @@ type Checker struct {
 	aggs     map[*txn.Txn]*compAgg
 	aggsFree []*compAgg
 
-	compBuf  []*txn.Txn // component extraction scratch (only when OnSCC is nil)
 	rootsBuf []*txn.Txn // GC root-set scratch
 
 	stats   Stats
@@ -193,12 +216,13 @@ type Checker struct {
 	tel     *tel
 }
 
-// NewChecker returns an ICD checker. meter may be nil.
+// NewChecker returns an ICD checker. meter may be nil. The run's state —
+// transaction manager, SCC engine, Octet engine — is built by ProgramStart.
 func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 	if opts.GCPeriod == 0 {
 		opts.GCPeriod = 8192
 	}
-	c := &Checker{
+	return &Checker{
 		prog:       prog,
 		meter:      meter,
 		opts:       opts,
@@ -207,49 +231,13 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 		sccMethods: make(map[vm.MethodID]int),
 		tel:        newTel(opts.Telemetry),
 	}
-	c.mgr = txn.NewManager(opts.Logging, nil, meter)
-	c.configureManager()
-	c.mgr.OnFinish(c.txnFinished)
-	return c
 }
 
-func (c *Checker) configureManager() {
-	if c.opts.NoElision {
-		c.mgr.DisableElision()
-	}
-	if c.opts.NoUnaryMerge {
-		c.mgr.DisableUnaryMerging()
-	}
-	if !c.opts.Logging && c.opts.OnSCC == nil {
-		// Nothing retains transactions or edges past a Collect in this
-		// configuration (no logs for PCD, no SCC handoff), so the manager can
-		// recycle swept nodes — the multi-run first run's hot path then stops
-		// allocating in the steady state.
-		c.mgr.EnableRecycling()
-	}
-	if !c.opts.DisableSCC {
-		c.inc = graph.NewIncSCC[*txn.Txn](func(t *txn.Txn) bool {
-			return t.Finished && !t.Dead()
-		})
-		c.incNodes, c.incEdges = 0, 0
-		c.mgr.OnIntraEdge(func(src, dst *txn.Txn) {
-			c.inc.AddEdge(src, dst)
-			c.chargeEngine()
-		})
-		if c.opts.OnSCC == nil {
-			c.aggs = make(map[*txn.Txn]*compAgg)
-			c.inc.SetOnMerge(c.mergeAggs)
-		}
-		c.mgr.OnSweep(func(t *txn.Txn) {
-			c.inc.Release(t)
-			if agg, ok := c.aggs[t]; ok {
-				agg.reset()
-				c.aggsFree = append(c.aggsFree, agg)
-				delete(c.aggs, t)
-			}
-		})
-	}
-}
+// recycles reports whether nothing retains transactions or edges past a
+// Collect, or past the run: no logs for PCD, no SCC handoff. The manager then
+// recycles swept nodes — the multi-run first run's hot path stops allocating
+// in the steady state — and at ProgramEnd hands all of them to the next run.
+func (c *Checker) recycles() bool { return !c.opts.Logging && c.opts.OnSCC == nil }
 
 // compAgg is one cyclic component's member aggregate: how many members are
 // unary, and how many carry each starting method. Detection folds these
@@ -331,8 +319,14 @@ func (c *Checker) chargeEngine() {
 // Stats returns ICD counters.
 func (c *Checker) Stats() Stats { return c.stats }
 
-// TxnStats returns the transaction manager's counters.
-func (c *Checker) TxnStats() txn.Stats { return c.mgr.Stats() }
+// TxnStats returns the transaction manager's counters (zero before
+// ProgramStart).
+func (c *Checker) TxnStats() txn.Stats {
+	if c.mgr == nil {
+		return txn.Stats{}
+	}
+	return c.mgr.Stats()
+}
 
 // OctetStats returns the underlying Octet engine's counters (nil-safe only
 // after ProgramStart).
@@ -349,14 +343,71 @@ func (c *Checker) StaticInfo() (map[vm.MethodID]int, bool) {
 	return out, c.stats.UnaryInSCC
 }
 
-// ProgramStart implements vm.Instrumentation.
+// ProgramStart implements vm.Instrumentation: it builds the run's state,
+// taking the graph storage an earlier run left in arenas when there is some.
 func (c *Checker) ProgramStart(e vm.ExecView) {
 	c.exec = e
 	c.mgr = txn.NewManager(c.opts.Logging, e.Now, c.meter)
-	c.configureManager()
 	c.mgr.OnFinish(c.txnFinished)
+	if c.opts.NoElision {
+		c.mgr.DisableElision()
+	}
+	if c.opts.NoUnaryMerge {
+		c.mgr.DisableUnaryMerging()
+	}
+	c.arena, _ = arenas.Get().(*arena)
+	if c.arena == nil {
+		c.arena = &arena{inc: graph.NewIncSCC(eligible)}
+	}
+	if c.recycles() {
+		c.mgr.EnableRecycling()
+		c.mgr.Adopt(c.arena.spare)
+		c.arena.spare = txn.Spares{}
+	}
+	if !c.opts.DisableSCC {
+		c.inc = c.arena.inc
+		c.incNodes, c.incEdges = 0, 0
+		c.mgr.OnIntraEdge(func(src, dst *txn.Txn) {
+			c.inc.AddEdge(src, dst)
+			c.chargeEngine()
+		})
+		if c.opts.OnSCC == nil {
+			c.aggs = make(map[*txn.Txn]*compAgg)
+			c.inc.SetOnMerge(c.mergeAggs)
+		}
+		c.mgr.OnSweep(func(t *txn.Txn) {
+			c.inc.Release(t)
+			if agg, ok := c.aggs[t]; ok {
+				agg.reset()
+				c.aggsFree = append(c.aggsFree, agg)
+				delete(c.aggs, t)
+			}
+		})
+	}
 	c.oct = octet.New(c, e.Blocked, c.meter)
 	c.oct.SetTelemetry(c.opts.Telemetry)
+}
+
+// ProgramEnd implements vm.Instrumentation: the run's graph storage goes back
+// to arenas, emptied, for a later run. Stats, TxnStats, OctetStats and
+// StaticInfo stay readable. A recycling run also hands over its transactions
+// and edges, so its Manager holds none afterwards; a logging run keeps them,
+// since PCD and its violations retain them. A run that stops short of
+// ProgramEnd leaves its storage to the garbage collector.
+func (c *Checker) ProgramEnd() {
+	a := c.arena
+	c.arena = nil
+	if c.inc != nil {
+		a.inc.Reset()
+		a.inc.SetOnMerge(nil)
+		c.inc, c.aggs = nil, nil
+	}
+	if c.recycles() {
+		a.spare = c.mgr.Retire()
+		clear(c.lastRdEx)
+		c.gLastRdSh = nil
+	}
+	arenas.Put(a)
 }
 
 // ThreadStart implements vm.Instrumentation.
@@ -647,5 +698,5 @@ func (c *Checker) collect() {
 }
 
 // Manager exposes the transaction manager (the PCD-only configuration needs
-// every transaction's log at program end).
+// every transaction's log at program end); nil before ProgramStart.
 func (c *Checker) Manager() *txn.Manager { return c.mgr }

@@ -168,7 +168,7 @@ type Manager struct {
 	meter   *cost.Meter
 	clock   func() uint64 // global step clock (vm.Exec.Now)
 
-	current map[vm.ThreadID]*Txn
+	current []*Txn // each thread's latest transaction, by thread ID
 	all     []*Txn
 	nextID  uint64
 	edgeSeq uint64
@@ -191,9 +191,10 @@ type Manager struct {
 
 	// Free lists for the recycling mode: swept transaction nodes and edge
 	// objects are reused instead of handed to the runtime GC, keeping the
-	// non-logging hot path allocation-free in the steady state. The modelled
-	// cost accounting (alloc/Free) is unchanged — recycling saves real
-	// allocations, not modelled bytes.
+	// non-logging hot path allocation-free in the steady state. Retire hands
+	// them, with every node and edge still live, to the next run's manager
+	// (Adopt). The modelled cost accounting (alloc/Free) is unchanged —
+	// recycling saves real allocations, not modelled bytes.
 	freeTxns  []*Txn
 	freeEdges []*Edge
 	gcStack   []*Txn // Collect's mark-stack scratch, reused across collections
@@ -216,7 +217,6 @@ func NewManager(logging bool, clock func() uint64, meter *cost.Meter) *Manager {
 		logging:  logging,
 		meter:    meter,
 		clock:    clock,
-		current:  make(map[vm.ThreadID]*Txn),
 		elide:    make(map[fieldKey]map[vm.ThreadID]*lastAccess),
 		threadTS: make(map[vm.ThreadID]uint64),
 	}
@@ -241,6 +241,39 @@ func (m *Manager) OnSweep(f func(*Txn)) { m.onSweep = f }
 // point is a minimal hot path (§3.1) — satisfies both.
 func (m *Manager) EnableRecycling() { m.recycle = true }
 
+// Spares is a recycling manager's storage carried from one run to the next:
+// transaction nodes, each keeping its emptied edge map, and edge objects.
+type Spares struct {
+	txns  []*Txn
+	edges []*Edge
+}
+
+// Retire ends a recycling manager's run and hands over its storage: every
+// transaction, live or already swept, and every edge join the returned
+// Spares, for a later manager's Adopt. Afterwards no transaction or edge of
+// this run may be used, and the manager answers only Stats. Retire panics
+// unless EnableRecycling was called: without it, transactions may be
+// retained past the run.
+func (m *Manager) Retire() Spares {
+	if !m.recycle {
+		panic("txn: Retire without EnableRecycling")
+	}
+	for _, tx := range m.all {
+		m.freeEdges = append(m.freeEdges, tx.Out...)
+		m.freeTxns = append(m.freeTxns, tx)
+	}
+	sp := Spares{txns: m.freeTxns, edges: m.freeEdges}
+	m.all, m.freeTxns, m.freeEdges = nil, nil, nil
+	clear(m.current)
+	return sp
+}
+
+// Adopt installs storage a retired manager handed over as this manager's
+// free lists. Call it on a fresh manager, after EnableRecycling.
+func (m *Manager) Adopt(sp Spares) {
+	m.freeTxns, m.freeEdges = sp.txns, sp.edges
+}
+
 // DisableElision turns off read/write-log duplicate elision (ablation of
 // the paper's §4 optimization).
 func (m *Manager) DisableElision() { m.noElide = true }
@@ -258,6 +291,22 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // Live returns the number of uncollected transactions.
 func (m *Manager) Live() int { return len(m.all) }
+
+// cur returns thread t's latest transaction, or nil before its first.
+func (m *Manager) cur(t vm.ThreadID) *Txn {
+	if int(t) < len(m.current) {
+		return m.current[t]
+	}
+	return nil
+}
+
+// setCur makes tx thread t's latest transaction.
+func (m *Manager) setCur(t vm.ThreadID, tx *Txn) {
+	for int(t) >= len(m.current) {
+		m.current = append(m.current, nil)
+	}
+	m.current[t] = tx
+}
 
 func (m *Manager) alloc(bytes int64) {
 	if m.meter != nil {
@@ -314,7 +363,7 @@ func (m *Manager) finish(tx *Txn) {
 // method meth, retiring t's current unary transaction if any, and linking
 // program order.
 func (m *Manager) BeginRegular(t vm.ThreadID, meth vm.MethodID) *Txn {
-	prev := m.current[t]
+	prev := m.cur(t)
 	tx := m.newTxn(t, meth, false)
 	if prev != nil {
 		m.addIntraEdge(prev, tx)
@@ -322,21 +371,21 @@ func (m *Manager) BeginRegular(t vm.ThreadID, meth vm.MethodID) *Txn {
 			m.finish(prev)
 		}
 	}
-	m.current[t] = tx
+	m.setCur(t, tx)
 	return tx
 }
 
 // EndRegular finishes thread t's current regular transaction. The thread's
 // next access will begin a fresh unary transaction.
 func (m *Manager) EndRegular(t vm.ThreadID) {
-	tx := m.current[t]
+	tx := m.cur(t)
 	if tx == nil || tx.Unary {
 		panic(fmt.Sprintf("txn: EndRegular(t%d) with current %v", t, tx))
 	}
 	m.finish(tx)
 	// Keep tx as "current" for edge-sourcing purposes until the next
 	// access creates a unary transaction; mark it so Current knows.
-	m.current[t] = tx
+	m.setCur(t, tx)
 }
 
 // Current returns thread t's current transaction for edge sourcing/sinking,
@@ -344,11 +393,11 @@ func (m *Manager) EndRegular(t vm.ThreadID) {
 // into one unary transaction until a cross-thread edge interrupts it
 // (paper §4's reuse of Velodrome's optimization).
 func (m *Manager) Current(t vm.ThreadID) *Txn {
-	tx := m.current[t]
+	tx := m.cur(t)
 	switch {
 	case tx == nil:
 		tx = m.newTxn(t, vm.NoMethod, true)
-		m.current[t] = tx
+		m.setCur(t, tx)
 	case tx.Finished || (tx.Unary && tx.interrupted) || (m.noMerge && tx.Unary && tx.accesses > 0):
 		prev := tx
 		tx = m.newTxn(t, vm.NoMethod, true)
@@ -356,7 +405,7 @@ func (m *Manager) Current(t vm.ThreadID) *Txn {
 		if prev.Unary {
 			m.finish(prev)
 		}
-		m.current[t] = tx
+		m.setCur(t, tx)
 	}
 	return tx
 }
@@ -366,7 +415,7 @@ func (m *Manager) Current(t vm.ThreadID) *Txn {
 // transition (its objects remain in its exclusive states), and the edge
 // source for that is its last transaction.
 func (m *Manager) ThreadExit(t vm.ThreadID) {
-	if tx := m.current[t]; tx != nil && !tx.Finished {
+	if tx := m.cur(t); tx != nil && !tx.Finished {
 		m.finish(tx)
 	}
 }
@@ -376,7 +425,7 @@ func (m *Manager) ThreadExit(t vm.ThreadID) {
 // currTX(T) likewise refers to T's latest transaction when T sits between
 // transactions or has exited). Unlike Current, EdgeSource never creates a
 // transaction; it returns nil for a thread that never ran one.
-func (m *Manager) EdgeSource(t vm.ThreadID) *Txn { return m.current[t] }
+func (m *Manager) EdgeSource(t vm.ThreadID) *Txn { return m.cur(t) }
 
 // EdgeSink returns the transaction that an incoming cross-thread edge for
 // thread t's in-flight access should target. For a regular transaction this
@@ -399,7 +448,7 @@ func (m *Manager) EdgeSink(t vm.ThreadID) *Txn {
 	fresh := m.newTxn(t, vm.NoMethod, true)
 	m.addIntraEdge(cur, fresh)
 	m.finish(cur)
-	m.current[t] = fresh
+	m.setCur(t, fresh)
 	return fresh
 }
 
@@ -477,7 +526,7 @@ func (m *Manager) newEdge(src, dst *Txn, cross bool) *Edge {
 // bumpTS invalidates elision windows for the owning thread when its current
 // transaction communicates.
 func (m *Manager) bumpTS(tx *Txn) {
-	if m.current[tx.Thread] == tx {
+	if m.cur(tx.Thread) == tx {
 		m.threadTS[tx.Thread]++
 	}
 }
