@@ -274,19 +274,23 @@ func TestDCBenchUnknownExperiment(t *testing.T) {
 }
 
 // TestDocsNameLiveExperimentsAndDumps: every `dcbench -experiment NAME` in
-// the user-facing docs names an experiment dcbench runs, and every
-// BENCH_*.json they cite is committed at the repo root. ROADMAP.md and
-// CHANGES.md record history, so they are not scanned.
+// the user-facing docs names an experiment dcbench runs, every BENCH_*.json
+// they cite is committed at the repo root, and every Test, Benchmark or
+// Fuzz name they cite is a function defined in the repo. A name with a
+// trailing `*`, or given to -run, is a pattern and only needs to prefix
+// one. ROADMAP.md and CHANGES.md record history, so they are not scanned.
 func TestDocsNameLiveExperimentsAndDumps(t *testing.T) {
 	root := filepath.Join("..", "..")
 	known := map[string]bool{"all": true}
 	for _, e := range experiments {
 		known[e.name] = true
 	}
+	defined := testFuncs(t, root)
 	// The flag and its value may sit on two lines of a wrapped paragraph.
 	expRe := regexp.MustCompile(`dcbench\s+-experiment\s+([\w-]+)`)
 	dumpRe := regexp.MustCompile(`BENCH_\w+\.json`)
-	var exps, dumps int
+	funcRe := regexp.MustCompile(`(-run[= ]+['"]?\^?)?\b((?:Test|Benchmark|Fuzz)[A-Z]\w*)(\*)?`)
+	var exps, dumps, funcs int
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -306,8 +310,63 @@ func TestDocsNameLiveExperimentsAndDumps(t *testing.T) {
 				t.Errorf("%s:%d: cites %s, which is not at the repo root", doc, line(m[0]), name)
 			}
 		}
+		for _, m := range funcRe.FindAllSubmatchIndex(text, -1) {
+			funcs++
+			name := string(text[m[4]:m[5]])
+			if m[2] < 0 && m[6] < 0 {
+				if !defined[name] {
+					t.Errorf("%s:%d: cites %s, which no file in the repo defines", doc, line(m[0]), name)
+				}
+				continue
+			}
+			prefixed := false
+			for f := range defined {
+				prefixed = prefixed || strings.HasPrefix(f, name)
+			}
+			if !prefixed {
+				t.Errorf("%s:%d: the pattern %s matches no function in the repo", doc, line(m[0]), name)
+			}
+		}
 	}
-	if exps == 0 || dumps == 0 {
-		t.Errorf("scanned %d experiment names and %d dump names; the patterns no longer match the docs", exps, dumps)
+	if exps == 0 || dumps == 0 || funcs == 0 {
+		t.Errorf("scanned %d experiment names, %d dump names and %d test names; the patterns no longer match the docs",
+			exps, dumps, funcs)
 	}
+}
+
+// testFuncs returns the names of the Test, Benchmark and Fuzz functions
+// that the repo's test files under root define.
+func testFuncs(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	declRe := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	names := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range declRe.FindAllSubmatch(src, -1) {
+			names[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !names["TestDocsNameLiveExperimentsAndDumps"] {
+		t.Fatalf("found %d test functions under %s, not this one", len(names), root)
+	}
+	return names
 }

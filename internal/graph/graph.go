@@ -7,19 +7,23 @@
 //   - IncSCC answers ICD's "is this finished transaction on a cycle of
 //     finished transactions?" (§3.2.3) from an SCC condensation maintained
 //     as edges arrive.
-//   - FindPath answers Velodrome's and PCD's "did this edge close a
-//     cycle?" (§2, §3.3) with a depth-first search that also returns the
-//     witness path a violation report needs.
+//   - A depth-first search answers Velodrome's and PCD's "did this edge
+//     close a cycle?" (§2, §3.3), and also returns the witness path a
+//     violation report needs. Velodrome (and ICD's eager-detection
+//     ablation) run FindPath over their transaction nodes. PCD runs
+//     PathSearch, the same search over dense node indices, which keeps its
+//     scratch from call to call; FindPath is its reference.
 //
 // SCCFrom, SCCAll, Reachable and HasSelfLoop are reference implementations
 // (Tarjan components and plain reachability) that the differential tests
 // compare the production answers against; no checker calls them.
 //
-// The algorithms are generic over the node type. Rather than forcing callers
-// to materialize an adjacency structure, the traversals take a successor
-// function. The checkers' dependence graphs (IDG and PDG) store adjacency on
-// the transaction nodes themselves, so a closure over those nodes is the
-// natural representation.
+// The algorithms are generic over the node type, except PathSearch, whose
+// nodes are int32 indices. Rather than forcing callers to materialize an
+// adjacency structure, the traversals take a successor function. The IDG
+// stores adjacency on the transaction nodes themselves, so a closure over
+// those nodes is the natural representation; PCD's PDG keeps successor
+// lists by node index, and its closure reads those.
 //
 // All algorithms are iterative (explicit stacks); dependence graphs over long
 // executions can be deep enough to overflow the goroutine stack with naive

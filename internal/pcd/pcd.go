@@ -22,6 +22,7 @@ package pcd
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -72,6 +73,8 @@ type tel struct {
 type Checker struct {
 	meter *cost.Meter
 	order ReplayOrder
+	// The meter's PCD unit prices, read once (zero without a meter).
+	perEntry, perEdge, perCycleNode cost.Units
 
 	violations []txn.Violation
 	seen       map[string]bool     // cycle identity (sorted txn IDs) dedup
@@ -85,13 +88,22 @@ type Checker struct {
 	// Replay working state. Process fills it and empties it again on
 	// return, keeping the capacity, so a stream of SCCs replays without
 	// rebuilding maps and slices per call.
-	entries []entryRef         // the SCC's log entries in replay order
-	members map[*txn.Txn]int32 // SCC member -> position (ByEdges only)
-	fieldIx map[fieldKey]int32 // field -> index into fields
-	fields  []fieldState       // last-access state per field, by index
-	segs    []segState         // current segment per SCC member, by position
-	chains  []*txn.Txn         // latest replayed node per thread, by thread ID
-	g       pdg
+	scc        []*txn.Txn         // the SCC being replayed
+	replaySpan obs.Span           // trace handle of its pcd.replay span
+	found      []txn.Violation    // violations new in this call
+	runs       []member           // BySeq: members with a log, by thread, then ID
+	heads      []head             // BySeq: one merge head per thread run
+	entries    []entryRef         // ByEdges: the SCC's log entries in replay order
+	members    map[*txn.Txn]int32 // ByEdges: SCC member -> position
+	fieldIx    map[uint64]int32   // fieldKey -> index into fields
+	fields     []fieldState       // last-access state per field, by index
+	segs       []segState         // current segment per SCC member, by position
+	chains     []int32            // latest replayed node per thread ID, or -1
+	g          pdg
+	search     graph.PathSearch
+	succ       graph.SuccFunc[int32] // PDG successors, charging PCDCycleNode
+	keyIDs     []uint64              // cycleKey scratch
+	key        []byte                // cycleKey scratch
 }
 
 // SetTelemetry attaches a registry: Process then records live counters, the
@@ -128,18 +140,24 @@ func (c *Checker) tempAlloc(n int64) {
 // NewChecker returns a PCD checker using the given replay order; meter may
 // be nil.
 func NewChecker(meter *cost.Meter, order ReplayOrder) *Checker {
-	return &Checker{
+	c := &Checker{
 		meter:    meter,
 		order:    order,
 		seen:     make(map[string]bool),
 		seenTxns: make(map[uint64]struct{}),
 		members:  make(map[*txn.Txn]int32),
-		fieldIx:  make(map[fieldKey]int32),
-		g: pdg{
-			edges: make(map[pdgEdge]uint64),
-			succs: make(map[*txn.Txn][]*txn.Txn),
-		},
+		fieldIx:  make(map[uint64]int32),
+		g:        pdg{edges: make(map[uint64]uint64)},
 	}
+	if meter != nil {
+		m := meter.Model()
+		c.perEntry, c.perEdge, c.perCycleNode = m.PCDPerEntry, m.PCDPerEdge, m.PCDCycleNode
+	}
+	c.succ = func(v int32) []int32 {
+		c.charge(c.perCycleNode)
+		return c.g.succs[v]
+	}
+	return c
 }
 
 // Violations returns the distinct precise violations found so far.
@@ -154,53 +172,57 @@ func (c *Checker) charge(u cost.Units) {
 	}
 }
 
-func (c *Checker) model() cost.Model {
-	if c.meter != nil {
-		return c.meter.Model()
-	}
-	return cost.Model{}
-}
-
-// entryRef locates one log entry during replay.
+// entryRef locates one log entry in a ByEdges replay order.
 type entryRef struct {
 	tx  *txn.Txn
-	seq uint64 // tx.Log[idx].Seq, cached as the BySeq sort key
-	idx int32  // position in tx.Log
-	mem int32  // tx's position in the SCC
+	idx int32 // position in tx.Log
+	mem int32 // tx's position in the SCC
 }
 
-// fieldKey is PCD's per-field metadata key; sync accesses use a separate
-// metadata space (they model the paper's per-object lock-release word).
-type fieldKey struct {
-	obj   vm.ObjectID
-	field vm.FieldID
-	sync  bool
+// fieldKey is PCD's per-field metadata key: the object, the field, and
+// whether the access is a sync access, which has its own metadata space (it
+// models the paper's per-object lock-release word). Object and field IDs
+// are non-negative int32s (the trace reader and vm.Program.Validate reject
+// any other), so the packing is injective.
+func fieldKey(e *txn.LogEntry) uint64 {
+	k := uint64(e.Obj)<<32 | uint64(e.Field)<<1
+	if e.Sync {
+		k |= 1
+	}
+	return k
 }
 
 // fieldState is one field's last-access information (Figure 5), holding
-// segment nodes: W(f), the last writer, and R(T,f), the last reader of
-// each thread T since that write, kept sorted by thread.
+// PDG nodes: W(f), the last writer, and R(T,f), the last reader of each
+// thread T since that write, kept sorted by thread.
 type fieldState struct {
-	write   *txn.Txn
-	readers []*txn.Txn
+	write   int32 // W(f), or -1
+	writeTh vm.ThreadID
+	readers []reader
 }
 
-// read records node as its thread's last reader of the field.
-func (f *fieldState) read(node *txn.Txn) {
+// reader is R(th,f).
+type reader struct {
+	th   vm.ThreadID
+	node int32
+}
+
+// read records node as thread th's last reader of the field.
+func (f *fieldState) read(th vm.ThreadID, node int32) {
 	i := 0
-	for i < len(f.readers) && f.readers[i].Thread < node.Thread {
+	for i < len(f.readers) && f.readers[i].th < th {
 		i++
 	}
-	if i < len(f.readers) && f.readers[i].Thread == node.Thread {
-		f.readers[i] = node
+	if i < len(f.readers) && f.readers[i].th == th {
+		f.readers[i].node = node
 		return
 	}
-	f.readers = slices.Insert(f.readers, i, node)
+	f.readers = slices.Insert(f.readers, i, reader{th: th, node: node})
 }
 
-// field returns the replay state of k, assigning it the next dense index on
-// first use in this Process call.
-func (c *Checker) field(k fieldKey) *fieldState {
+// field returns the replay state of key k, assigning it the next dense
+// index on first use in this Process call.
+func (c *Checker) field(k uint64) *fieldState {
 	i, ok := c.fieldIx[k]
 	if !ok {
 		i = int32(len(c.fields))
@@ -208,39 +230,54 @@ func (c *Checker) field(k fieldKey) *fieldState {
 		if len(c.fields) < cap(c.fields) {
 			// Reuse the released slot and its readers array.
 			c.fields = c.fields[:i+1]
+			f := &c.fields[i]
+			f.write, f.readers = -1, f.readers[:0]
 		} else {
-			c.fields = append(c.fields, fieldState{})
+			c.fields = append(c.fields, fieldState{write: -1})
 		}
 	}
 	return &c.fields[i]
 }
 
-// pdgEdge is one precise dependence edge.
-type pdgEdge struct{ src, dst *txn.Txn }
-
-// pdg is the precise dependence graph over one Process invocation.
+// pdg is the precise dependence graph over one Process invocation. A node
+// is an index: the SCC members come first, by position, and fresh unary
+// segments follow in the order the replay cuts them.
 type pdg struct {
-	edges map[pdgEdge]uint64      // -> edge order (first occurrence)
-	succs map[*txn.Txn][]*txn.Txn // successors in insertion order
+	nodes []*txn.Txn        // node -> transaction
+	succs [][]int32         // successors in insertion order, by node
+	edges map[uint64]uint64 // src<<32|dst -> edge order (first occurrence)
+}
+
+// addNode appends tx as a node, reusing a released successor list.
+func (g *pdg) addNode(tx *txn.Txn) int32 {
+	v := int32(len(g.nodes))
+	g.nodes = append(g.nodes, tx)
+	if len(g.succs) < cap(g.succs) {
+		g.succs = g.succs[:v+1]
+		g.succs[v] = g.succs[v][:0]
+	} else {
+		g.succs = append(g.succs, nil)
+	}
+	return v
 }
 
 // add inserts an edge with the given order if absent; reports whether it was
 // new.
-func (g *pdg) add(src, dst *txn.Txn, order uint64) bool {
+func (g *pdg) add(src, dst int32, order uint64) bool {
 	if src == dst {
 		return false
 	}
-	e := pdgEdge{src, dst}
-	if _, ok := g.edges[e]; ok {
+	k := uint64(src)<<32 | uint64(dst)
+	if _, ok := g.edges[k]; ok {
 		return false
 	}
-	g.edges[e] = order
+	g.edges[k] = order
 	g.succs[src] = append(g.succs[src], dst)
 	return true
 }
 
-func (g *pdg) order(src, dst *txn.Txn) (uint64, bool) {
-	o, ok := g.edges[pdgEdge{src, dst}]
+func (g *pdg) order(src, dst int32) (uint64, bool) {
+	o, ok := g.edges[uint64(src)<<32|uint64(dst)]
 	return o, ok
 }
 
@@ -254,7 +291,7 @@ func (g *pdg) order(src, dst *txn.Txn) (uint64, bool) {
 // Without this, a merged unary can manufacture a cycle that the singleton
 // ground truth does not have.
 type segState struct {
-	node  *txn.Txn
+	node  int32
 	count int // entries replayed into node
 	idx   int // segment index (for deterministic synthetic IDs)
 }
@@ -272,12 +309,14 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		c.tel.txns.Add(uint64(len(scc)))
 	}
 	defer c.release()
+	c.scc, c.replaySpan = scc, span.Trace()
 
 	c.segs = slices.Grow(c.segs[:0], len(scc))[:len(scc)]
-	threads := 0
+	threads, entries := 0, 0
 	for i, tx := range scc {
-		c.segs[i] = segState{node: tx}
+		c.segs[i] = segState{node: c.g.addNode(tx)}
 		threads = max(threads, int(tx.Thread)+1)
+		entries += len(tx.Log)
 		if _, ok := c.seenTxns[tx.ID]; !ok {
 			c.seenTxns[tx.ID] = struct{}{}
 			c.stats.DistinctTxns++
@@ -290,15 +329,8 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	// intra-thread program-order edges lazily (same-thread transactions
 	// never overlap, so replay order visits them sequentially).
 	c.chains = slices.Grow(c.chains[:0], threads)[:threads]
-
-	switch c.order {
-	case ByEdges:
-		for i, tx := range scc {
-			c.members[tx] = int32(i)
-		}
-		c.entries = orderByEdges(c.entries, scc, c.members)
-	default:
-		c.entries = orderBySeq(c.entries, scc)
+	for i := range c.chains {
+		c.chains[i] = -1
 	}
 
 	// Replay temporaries (the ordered entry list, the PDG, last-access
@@ -307,79 +339,30 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	// above all the PCD-only straw man's whole-execution replay — this heap
 	// spike is what drives GC cost and the out-of-memory failures. The
 	// meter charges them per call even though this Checker reuses its
-	// memory across calls; they are released when Process returns.
-	c.tempAlloc(24 * int64(len(c.entries)))
+	// memory across calls, and BySeq merges without building the list;
+	// they are released when Process returns.
+	c.tempAlloc(24 * int64(entries))
 
-	model := c.model()
-	var found []txn.Violation
-	for _, ref := range c.entries {
-		e := &ref.tx.Log[ref.idx]
-		c.stats.EntriesReplayed++
-		c.charge(model.PCDPerEntry)
-		f := c.field(fieldKey{obj: e.Obj, field: e.Field, sync: e.Sync})
-		st := &c.segs[ref.mem]
-		th := ref.tx.Thread
-
-		// Will this entry receive a cross-thread edge?
-		incoming := f.write != nil && f.write.Thread != th
-		if e.Write && !incoming {
-			for _, r := range f.readers {
-				if r.Thread != th {
-					incoming = true
-					break
-				}
-			}
+	switch c.order {
+	case ByEdges:
+		for i, tx := range scc {
+			c.members[tx] = int32(i)
 		}
-		if incoming && ref.tx.Unary && st.count > 0 {
-			// Cut the merged unary: fresh segment node.
-			st.idx++
-			fresh := &txn.Txn{
-				ID:       ref.tx.ID<<16 | uint64(st.idx),
-				Thread:   th,
-				Method:   ref.tx.Method,
-				Unary:    true,
-				StartSeq: e.Seq,
-				Finished: true,
-			}
-			c.g.add(st.node, fresh, e.Seq)
-			st.node = fresh
-			st.count = 0
+		c.entries = orderByEdges(c.entries, scc, c.members)
+		for _, ref := range c.entries {
+			c.replayEntry(ref.mem, &ref.tx.Log[ref.idx])
 		}
-		cur := st.node
-
-		// Intra-thread program order.
-		if prev := c.chains[th]; prev != nil && prev != cur {
-			c.g.add(prev, cur, e.Seq)
-		}
-		c.chains[th] = cur
-
-		if w := f.write; w != nil && w.Thread != th {
-			found = c.addPDGEdge(span.Trace(), w, cur, e.Seq, found)
-		}
-		if e.Write {
-			// Readers in thread order: a write racing several readers inserts
-			// its anti-dependence edges — and so detects cycles — in a fixed
-			// sequence, keeping replay deterministic.
-			for _, r := range f.readers {
-				if r.Thread != th {
-					found = c.addPDGEdge(span.Trace(), r, cur, e.Seq, found)
-				}
-			}
-			f.write = cur
-			f.readers = f.readers[:0]
-		} else {
-			f.read(cur)
-		}
-		st.count++
+	default:
+		c.replayBySeq()
 	}
 	if c.tel != nil {
-		c.tel.entries.Add(uint64(len(c.entries)))
+		c.tel.entries.Add(uint64(entries))
 		// The live per-field metadata at end of replay: the fields with W(f)
 		// set plus those with a non-empty R(·,f) — the heap spike §3.3's
 		// replay pays for.
 		live := 0
 		for i := range c.fields {
-			if c.fields[i].write != nil {
+			if c.fields[i].write >= 0 {
 				live++
 			}
 			if len(c.fields[i].readers) > 0 {
@@ -388,7 +371,159 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		}
 		c.tel.fieldMap.Observe(uint64(live))
 	}
-	return found
+	return c.found
+}
+
+// replayEntry replays entry e of member m.
+func (c *Checker) replayEntry(m int32, e *txn.LogEntry) {
+	c.stats.EntriesReplayed++
+	c.charge(c.perEntry)
+	f := c.field(fieldKey(e))
+	st := &c.segs[m]
+	tx := c.scc[m]
+	th := tx.Thread
+
+	// Will this entry receive a cross-thread edge?
+	incoming := f.write >= 0 && f.writeTh != th
+	if e.Write && !incoming {
+		for _, r := range f.readers {
+			if r.th != th {
+				incoming = true
+				break
+			}
+		}
+	}
+	if incoming && tx.Unary && st.count > 0 {
+		// Cut the merged unary: fresh segment node.
+		st.idx++
+		fresh := c.g.addNode(&txn.Txn{
+			ID:       tx.ID<<16 | uint64(st.idx),
+			Thread:   th,
+			Method:   tx.Method,
+			Unary:    true,
+			StartSeq: e.Seq,
+			Finished: true,
+		})
+		c.g.add(st.node, fresh, e.Seq)
+		st.node = fresh
+		st.count = 0
+	}
+	cur := st.node
+
+	// Intra-thread program order.
+	if prev := c.chains[th]; prev >= 0 && prev != cur {
+		c.g.add(prev, cur, e.Seq)
+	}
+	c.chains[th] = cur
+
+	if f.write >= 0 && f.writeTh != th {
+		c.addPDGEdge(f.write, cur, e.Seq)
+	}
+	if e.Write {
+		// Readers in thread order: a write racing several readers inserts
+		// its anti-dependence edges — and so detects cycles — in a fixed
+		// sequence, keeping replay deterministic.
+		for _, r := range f.readers {
+			if r.th != th {
+				c.addPDGEdge(r.node, cur, e.Seq)
+			}
+		}
+		f.write, f.writeTh = cur, th
+		f.readers = f.readers[:0]
+	} else {
+		f.read(th, cur)
+	}
+	st.count++
+}
+
+// member is one SCC member in a BySeq merge.
+type member struct {
+	th  vm.ThreadID
+	pos int32 // position in the SCC
+	id  uint64
+}
+
+// head is one thread's run in a BySeq merge: runs[k:end] are the thread's
+// members in ID order, and entry i of runs[k]'s log, at clock seq, is the
+// next to replay.
+type head struct {
+	k, end, i int32
+	seq       uint64
+}
+
+// replayBySeq replays the SCC's entries in global access-clock order, the
+// order a sort by Seq would give, without sorting them. Each log is in Seq
+// order, and one thread's transactions never overlap in time, so a thread's
+// members taken in ID order form one run sorted by Seq. (ICD hands members
+// over in no particular order.) The merge of those runs picks the head
+// with the smallest Seq by a linear scan, since there are few threads, and
+// replays it as a batch until it passes the runner-up. Seq values are
+// unique, so the merge equals the sort exactly.
+func (c *Checker) replayBySeq() {
+	runs := c.runs[:0]
+	for m, tx := range c.scc {
+		if len(tx.Log) > 0 {
+			runs = append(runs, member{th: tx.Thread, pos: int32(m), id: tx.ID})
+		}
+	}
+	slices.SortFunc(runs, func(a, b member) int {
+		if a.th != b.th {
+			return cmp.Compare(a.th, b.th)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	c.runs = runs
+	heads := c.heads[:0]
+	for k := 0; k < len(runs); {
+		end := k + 1
+		for end < len(runs) && runs[end].th == runs[k].th {
+			end++
+		}
+		heads = append(heads, head{k: int32(k), end: int32(end), seq: c.scc[runs[k].pos].Log[0].Seq})
+		k = end
+	}
+	for len(heads) > 0 {
+		h, limit := 0, uint64(math.MaxUint64)
+		for i := 1; i < len(heads); i++ {
+			if s := heads[i].seq; s < heads[h].seq {
+				h, limit = i, heads[h].seq
+			} else if s < limit {
+				limit = s
+			}
+		}
+		if !c.replayRun(&heads[h], limit) {
+			heads[h] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+	}
+	c.heads = heads
+}
+
+// replayRun replays h's entries, moving on through its thread's later
+// members, while their Seq stays below limit. It reports whether the run
+// has entries left. A run whose Seq fails to increase is a bug in whatever
+// built the logs, and panics.
+func (c *Checker) replayRun(h *head, limit uint64) bool {
+	m := c.runs[h.k].pos
+	log := c.scc[m].Log
+	for {
+		seq := h.seq
+		c.replayEntry(m, &log[h.i])
+		if h.i++; int(h.i) == len(log) {
+			if h.k++; h.k == h.end {
+				return false
+			}
+			h.i = 0
+			m = c.runs[h.k].pos
+			log = c.scc[m].Log
+		}
+		if h.seq = log[h.i].Seq; h.seq <= seq {
+			panic("pcd: thread " + strconv.Itoa(int(c.scc[m].Thread)) + "'s log entries are not in Seq order")
+		}
+		if h.seq >= limit {
+			return true
+		}
+	}
 }
 
 // release ends a Process call: it frees the metered replay temporaries and
@@ -399,90 +534,77 @@ func (c *Checker) release() {
 		c.meter.Free(c.tempBytes)
 	}
 	c.tempBytes = 0
+	c.scc, c.replaySpan, c.found = nil, obs.Span{}, nil
+	c.runs = c.runs[:0]
+	c.heads = c.heads[:0]
 	clear(c.entries)
 	c.entries = c.entries[:0]
 	clear(c.members)
 	clear(c.fieldIx)
-	for i := range c.fields {
-		f := &c.fields[i]
-		f.write = nil
-		f.readers = f.readers[:0]
-		clear(f.readers[:cap(f.readers)])
-	}
 	c.fields = c.fields[:0]
-	clear(c.segs)
 	c.segs = c.segs[:0]
-	clear(c.chains)
 	c.chains = c.chains[:0]
+	clear(c.g.nodes)
+	c.g.nodes = c.g.nodes[:0]
+	c.g.succs = c.g.succs[:0]
 	clear(c.g.edges)
-	clear(c.g.succs)
 }
 
 // addPDGEdge inserts a precise dependence edge and checks for a cycle
-// through it. replay is the trace handle of the enclosing pcd.replay span,
-// the parent of a found cycle's pcd.blame span.
-func (c *Checker) addPDGEdge(replay obs.Span, src, dst *txn.Txn, seq uint64, found []txn.Violation) []txn.Violation {
+// through it.
+func (c *Checker) addPDGEdge(src, dst int32, seq uint64) {
 	if !c.g.add(src, dst, seq) {
-		return found
+		return
 	}
 	c.stats.PDGEdges++
 	if c.tel != nil {
 		c.tel.edges.Inc()
 	}
 	c.tempAlloc(64)
-	c.charge(c.model().PCDPerEdge)
+	c.charge(c.perEdge)
 	c.stats.CycleChecks++
-	model := c.model()
-	succ := func(t *txn.Txn) []*txn.Txn {
-		c.charge(model.PCDCycleNode)
-		return c.g.succs[t]
-	}
-	path := graph.FindPath(dst, src, succ)
+	path := c.search.Find(len(c.g.nodes), dst, src, c.succ)
 	if path == nil {
-		return found
+		return
 	}
 	c.stats.PreciseCycles++
 	if c.tel != nil {
 		c.tel.cycles.Inc()
 	}
-	key := cycleKey(path)
-	if c.seen[key] {
-		return found
+	if c.seen[string(c.cycleKey(path))] {
+		return
 	}
-	c.seen[key] = true
-	// Blame charges no cost units, so its span carries no meter.
-	blame := c.reg.StartSpan(replay, telemetry.SpanPCDBlame, nil)
-	v := txn.NewViolationWith(path, seq, c.g.order)
+	c.seen[string(c.key)] = true
+	cycle := make([]*txn.Txn, len(path))
+	for i, v := range path {
+		cycle[i] = c.g.nodes[v]
+	}
+	// Blame charges no cost units, so its span carries no meter. Its edge
+	// lookups map each cycle member back to its node.
+	blame := c.reg.StartSpan(c.replaySpan, telemetry.SpanPCDBlame, nil)
+	v := txn.NewViolationWith(cycle, seq, func(src, dst *txn.Txn) (uint64, bool) {
+		return c.g.order(path[slices.Index(cycle, src)], path[slices.Index(cycle, dst)])
+	})
 	blame.End()
 	c.violations = append(c.violations, v)
-	return append(found, v)
+	c.found = append(c.found, v)
 }
 
-// cycleKey builds a canonical identity for a cycle: its sorted member IDs.
-func cycleKey(cycle []*txn.Txn) string {
-	ids := make([]uint64, len(cycle))
-	for i, tx := range cycle {
-		ids[i] = tx.ID
+// cycleKey builds a canonical identity for a cycle, its sorted member IDs,
+// in reused scratch.
+func (c *Checker) cycleKey(path []int32) []byte {
+	ids := c.keyIDs[:0]
+	for _, v := range path {
+		ids = append(ids, c.g.nodes[v].ID)
 	}
 	slices.Sort(ids)
-	key := make([]byte, 0, 8*len(ids))
+	key := c.key[:0]
 	for _, id := range ids {
 		key = strconv.AppendUint(key, id, 10)
 		key = append(key, ',')
 	}
-	return string(key)
-}
-
-// orderBySeq fills refs (empty on entry) with all log entries of the SCC,
-// sorted by the global access clock.
-func orderBySeq(refs []entryRef, scc []*txn.Txn) []entryRef {
-	for m, tx := range scc {
-		for i := range tx.Log {
-			refs = append(refs, entryRef{tx: tx, seq: tx.Log[i].Seq, idx: int32(i), mem: int32(m)})
-		}
-	}
-	slices.SortFunc(refs, func(a, b entryRef) int { return cmp.Compare(a.seq, b.seq) })
-	return refs
+	c.keyIDs, c.key = ids, key
+	return key
 }
 
 // orderByEdges reconstructs a replay order from the §3.2.4 machinery: each
@@ -553,7 +675,7 @@ func orderByEdges(refs []entryRef, scc []*txn.Txn, members map[*txn.Txn]int32) [
 		}
 		mem := members[tx]
 		for i := emitted[tx]; i < cut; i++ {
-			refs = append(refs, entryRef{tx: tx, seq: tx.Log[i].Seq, idx: int32(i), mem: mem})
+			refs = append(refs, entryRef{tx: tx, idx: int32(i), mem: mem})
 		}
 		if cut > emitted[tx] {
 			emitted[tx] = cut

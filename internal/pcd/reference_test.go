@@ -1,11 +1,14 @@
 package pcd
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,10 +24,35 @@ import (
 
 // This file keeps the map-based replay that Process used before its working
 // state became dense and reused across calls. refProcess rebuilds every map
-// per call. Its logic is the earlier code's; only names, comments and the
-// member map handed to the shared orderByEdges changed. It is the reference
-// Process must match on every SCC: violations, Stats, metered cost and the
-// pcd.field_map.size observation.
+// per call, sorts the entries for BySeq, and searches with graph.FindPath.
+// Its logic is the earlier code's; only names, comments, the member map
+// handed to the shared orderByEdges, and the pointer-keyed types kept here
+// under ref names changed. It is the reference Process must match on every
+// SCC: violations, Stats, metered cost and the pcd.field_map.size
+// observation.
+
+// refFieldKey is the per-field metadata key of the map-based replay.
+type refFieldKey struct {
+	obj   vm.ObjectID
+	field vm.FieldID
+	sync  bool
+}
+
+// refSegState is segState over transaction pointers.
+type refSegState struct {
+	node  *txn.Txn
+	count int
+	idx   int
+}
+
+// refModel is the meter's cost model, copied on every call as the
+// map-based replay did.
+func (c *Checker) refModel() cost.Model {
+	if c.meter != nil {
+		return c.meter.Model()
+	}
+	return cost.Model{}
+}
 
 // refProcess is the map-based Process. A Checker used as the reference must
 // be fed through refProcess alone.
@@ -69,27 +97,27 @@ func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
 	c.tempAlloc(24 * int64(len(entries)))
 
 	g := newRefPDG()
-	segs := make(map[*txn.Txn]*segState, len(scc))
-	seg := func(tx *txn.Txn) *segState {
+	segs := make(map[*txn.Txn]*refSegState, len(scc))
+	seg := func(tx *txn.Txn) *refSegState {
 		st := segs[tx]
 		if st == nil {
-			st = &segState{node: tx}
+			st = &refSegState{node: tx}
 			segs[tx] = st
 		}
 		return st
 	}
 	threadChain := make(map[vm.ThreadID]*txn.Txn)
 
-	lastWrite := make(map[fieldKey]*txn.Txn)
-	lastReads := make(map[fieldKey]map[vm.ThreadID]*txn.Txn)
+	lastWrite := make(map[refFieldKey]*txn.Txn)
+	lastReads := make(map[refFieldKey]map[vm.ThreadID]*txn.Txn)
 
-	model := c.model()
+	model := c.refModel()
 	var found []txn.Violation
 	for _, ref := range entries {
 		e := ref.tx.Log[ref.idx]
 		c.stats.EntriesReplayed++
 		c.charge(model.PCDPerEntry)
-		key := fieldKey{obj: e.Obj, field: e.Field, sync: e.Sync}
+		key := refFieldKey{obj: e.Obj, field: e.Field, sync: e.Sync}
 		st := seg(ref.tx)
 
 		incoming := false
@@ -166,9 +194,9 @@ func (c *Checker) refAddPDGEdge(replay obs.Span, g *refPDG, src, dst *txn.Txn, s
 		c.tel.edges.Inc()
 	}
 	c.tempAlloc(64)
-	c.charge(c.model().PCDPerEdge)
+	c.charge(c.refModel().PCDPerEdge)
 	c.stats.CycleChecks++
-	model := c.model()
+	model := c.refModel()
 	succ := func(t *txn.Txn) []*txn.Txn {
 		c.charge(model.PCDCycleNode)
 		return g.succs[t]
@@ -181,7 +209,7 @@ func (c *Checker) refAddPDGEdge(replay obs.Span, g *refPDG, src, dst *txn.Txn, s
 	if c.tel != nil {
 		c.tel.cycles.Inc()
 	}
-	key := cycleKey(path)
+	key := refCycleKey(path)
 	if c.seen[key] {
 		return found
 	}
@@ -191,6 +219,21 @@ func (c *Checker) refAddPDGEdge(replay obs.Span, g *refPDG, src, dst *txn.Txn, s
 	blame.End()
 	c.violations = append(c.violations, v)
 	return append(found, v)
+}
+
+// refCycleKey is cycleKey over transaction pointers, allocating its key.
+func refCycleKey(cycle []*txn.Txn) string {
+	ids := make([]uint64, len(cycle))
+	for i, tx := range cycle {
+		ids[i] = tx.ID
+	}
+	slices.Sort(ids)
+	key := make([]byte, 0, 8*len(ids))
+	for _, id := range ids {
+		key = strconv.AppendUint(key, id, 10)
+		key = append(key, ',')
+	}
+	return string(key)
 }
 
 // refPDG is the map-based precise dependence graph.
@@ -332,6 +375,85 @@ func TestReplayMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %d SCCs and %d violations over the corpus; the check is vacuous",
 				orderName(order), sccs, violations)
 		}
+	}
+}
+
+// interleavedRun builds a run of regular and unary transactions on threads
+// goroutines that interleave accesses to a few shared fields, and returns
+// every transaction the manager created.
+func interleavedRun(rng *rand.Rand, threads int) []*txn.Txn {
+	e := newEnv()
+	active := make([]bool, threads)
+	for step := 0; step < 300; step++ {
+		th := vm.ThreadID(rng.Intn(threads))
+		switch r := rng.Intn(10); {
+		case r == 0 && !active[th]:
+			e.begin(th, vm.MethodID(rng.Intn(4)+1))
+			active[th] = true
+		case r == 1 && active[th]:
+			e.end(th)
+			active[th] = false
+		default:
+			// Outside a regular transaction this lands in a unary one.
+			e.access(th, vm.ObjectID(rng.Intn(3)+1), vm.FieldID(rng.Intn(2)), rng.Intn(3) == 0)
+		}
+	}
+	for th, on := range active {
+		if on {
+			e.end(vm.ThreadID(th))
+		}
+	}
+	return e.mgr.All()
+}
+
+// memberOrder counts the threads scc spans and those whose members it hands
+// over out of ID order.
+func memberOrder(scc []*txn.Txn) (threads, unsorted int) {
+	last := make(map[vm.ThreadID]uint64)
+	out := make(map[vm.ThreadID]bool)
+	for _, tx := range scc {
+		if id, ok := last[tx.Thread]; ok && id > tx.ID {
+			out[tx.Thread] = true
+		}
+		last[tx.Thread] = tx.ID
+	}
+	return len(last), len(out)
+}
+
+// TestBySeqMergesUnsortedMembers hands BySeq replay SCCs that span three to
+// five threads with members out of ID order, as ICD may hand them over:
+// grouped by thread in descending ID order, and shuffled. Each must replay
+// exactly as the reference's sort of every entry by Seq does.
+func TestBySeqMergesUnsortedMembers(t *testing.T) {
+	violations := 0
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		threads := 3 + int(seed%3)
+		all := interleavedRun(rng, threads)
+		descending := slices.Clone(all)
+		slices.SortFunc(descending, func(a, b *txn.Txn) int {
+			if a.Thread != b.Thread {
+				return cmp.Compare(a.Thread, b.Thread)
+			}
+			return cmp.Compare(b.ID, a.ID)
+		})
+		shuffled := slices.Clone(all)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		p := newReplayPair(BySeq)
+		for _, scc := range []struct {
+			name    string
+			members []*txn.Txn
+		}{{"descending", descending}, {"shuffled", shuffled}} {
+			if spanned, unsorted := memberOrder(scc.members); spanned < 3 || unsorted == 0 {
+				t.Fatalf("seed %d %s: the SCC spans %d threads, %d of them out of ID order; want at least 3, and 1",
+					seed, scc.name, spanned, unsorted)
+			}
+			p.process(t, fmt.Sprintf("seed %d %s", seed, scc.name), scc.members)
+		}
+		violations += len(p.got.Violations())
+	}
+	if violations == 0 {
+		t.Fatal("no SCC had a violation; the check is vacuous")
 	}
 }
 
