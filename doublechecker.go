@@ -307,7 +307,7 @@ func CheckUnitContext(ctx context.Context, unit *lang.Unit, opts Options) (*Repo
 		return nil, err
 	}
 	prog := unit.Prog
-	sp := specFromUnit(unit)
+	sp := spec.AtomicOnly(unit.Prog, unit.AtomicMethods)
 	report := &Report{
 		Program:       prog.Name,
 		AtomicMethods: sp.Size(),
@@ -405,7 +405,7 @@ func RefineSourceContext(ctx context.Context, src string, opts Options) (*Refine
 		return nil, err
 	}
 	prog := unit.Prog
-	initial := specFromUnit(unit)
+	initial := spec.AtomicOnly(unit.Prog, unit.AtomicMethods)
 	check := func(sp *spec.Spec, trial int) ([]vm.MethodID, error) {
 		res, err := core.RunContext(ctx, prog, core.Config{
 			Analysis: core.DCSingle,
@@ -437,20 +437,6 @@ func RefineSourceContext(ctx context.Context, src string, opts Options) (*Refine
 		report.AtomicMethods = append(report.AtomicMethods, prog.MethodName(m))
 	}
 	return report, nil
-}
-
-func specFromUnit(unit *lang.Unit) *spec.Spec {
-	atomicSet := make(map[string]bool, len(unit.AtomicMethods))
-	for _, n := range unit.AtomicMethods {
-		atomicSet[n] = true
-	}
-	sp := spec.New(unit.Prog)
-	for _, m := range unit.Prog.Methods {
-		if !atomicSet[m.Name] {
-			sp.Exclude(m.ID)
-		}
-	}
-	return sp
 }
 
 // trialOutcome is one trial's result plus the sub-failures the trial

@@ -138,3 +138,26 @@ func TestDCTraceReplayCacheDir(t *testing.T) {
 		t.Errorf("cache dir holds %d entries after second analysis, want 2", len(files))
 	}
 }
+
+// TestDCTraceReplaySkipsUnreadableTrace: a batch entry that opens but cannot
+// be read (a directory named like a trace) is skipped as undecodable, exit
+// 3, whether or not the replay has a store: both run the same path.
+func TestDCTraceReplaySkipsUnreadableTrace(t *testing.T) {
+	dir := t.TempDir()
+	recordRacyTrace(t, dir)
+	if err := os.Mkdir(filepath.Join(dir, "unreadable.dct"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"replay", dir},
+		{"replay", "-cache-dir", t.TempDir(), dir},
+	} {
+		var out, errb bytes.Buffer
+		if code := DCTrace(args, &out, &errb); code != 3 {
+			t.Errorf("%v: exit %d, want 3\nstdout:\n%s\nstderr:\n%s", args, code, out.String(), errb.String())
+		}
+		if !strings.Contains(out.String(), "skipped 1 undecodable trace(s) of 2") {
+			t.Errorf("%v: missing skip summary:\n%s", args, out.String())
+		}
+	}
+}

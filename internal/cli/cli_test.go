@@ -149,6 +149,24 @@ func TestDCheckErrors(t *testing.T) {
 	if code := DCheck([]string{"-badflag"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	// Numbers outside their domain exit 2 naming the flag, without running.
+	for _, tc := range []struct{ flag, value string }{
+		{"-trials", "0"},
+		{"-trials", "-2"},
+		{"-trial-timeout", "-1s"},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := DCheck([]string{tc.flag, tc.value, good}, &out, &errb); code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(errb.String(), tc.flag+" ") {
+			t.Errorf("%s %s: stderr does not name the flag: %q", tc.flag, tc.value, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s: ran anyway:\n%s", tc.flag, tc.value, out.String())
+		}
+	}
 }
 
 func TestDCGenListAndDump(t *testing.T) {

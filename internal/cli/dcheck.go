@@ -70,12 +70,21 @@ func DCheckContext(ctx context.Context, args []string, stdout, stderr io.Writer)
 		fs.PrintDefaults()
 		return 2
 	}
-	if *sticky <= 0 || *sticky > 1 {
-		fmt.Fprintf(stderr, "dcheck: -switch %v outside (0,1]\n", *sticky)
-		return 2
+	// A zero -trial-timeout means unbounded; every other number outside its
+	// domain exits 2 naming the flag.
+	var bad string
+	switch {
+	case *sticky <= 0 || *sticky > 1:
+		bad = fmt.Sprintf("-switch %v outside (0,1]", *sticky)
+	case *trials < 1:
+		bad = fmt.Sprintf("-trials %d must be at least 1", *trials)
+	case *retries < 0:
+		bad = fmt.Sprintf("-retries %d is negative", *retries)
+	case *trialTimeout < 0:
+		bad = fmt.Sprintf("-trial-timeout %v is negative", *trialTimeout)
 	}
-	if *retries < 0 {
-		fmt.Fprintf(stderr, "dcheck: -retries %d is negative\n", *retries)
+	if bad != "" {
+		fmt.Fprintln(stderr, "dcheck:", bad)
 		return 2
 	}
 	if *record != "" && (*trials != 1 || *refine || *dot || *replay) {
@@ -177,16 +186,7 @@ func runDCheck(ctx context.Context, o dcheckOpts, stdout, stderr io.Writer) erro
 		return err
 	}
 
-	sp := spec.New(prog)
-	atomicSet := make(map[string]bool, len(unit.AtomicMethods))
-	for _, n := range unit.AtomicMethods {
-		atomicSet[n] = true
-	}
-	for _, m := range prog.Methods {
-		if !atomicSet[m.Name] {
-			sp.Exclude(m.ID)
-		}
-	}
+	sp := spec.AtomicOnly(prog, unit.AtomicMethods)
 	fmt.Fprintf(stdout, "program %s: %d methods (%d atomic), %d threads, %d objects\n",
 		prog.Name, len(prog.Methods), sp.Size(), len(prog.Threads), prog.NumObjects)
 
@@ -271,7 +271,7 @@ func runDCheck(ctx context.Context, o dcheckOpts, stdout, stderr io.Writer) erro
 				out.Seed, res.Cost.Normalized(baseTotal), 100*res.Cost.GCFraction())
 		}
 	}
-	if o.trials > 0 && completed == 0 {
+	if completed == 0 {
 		return fmt.Errorf("all %d trials failed: %w", o.trials, lastErr)
 	}
 	if completed < o.trials {
@@ -310,70 +310,81 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 	if err != nil {
 		return err
 	}
-	if o.cacheDir == "" {
-		d, err := trace.ReadFile(o.path)
-		if err != nil {
-			return err
-		}
-		res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg})
-		if err != nil {
-			return err
-		}
-		io.WriteString(stdout, core.ReplayReport(o.path, d, res))
-		if o.statsJSON {
-			stdout.Write(res.Telemetry.Deterministic().JSON())
-		}
-		return nil
-	}
-
-	// Cached replay is byte-addressed: the file is read once, the header
-	// plus a raw-byte digest form the key, and the full decode only happens
-	// on a miss. The one-shot store skips the memory tier (this process
-	// serves no second request) and keeps its own counters out of the run's
+	// The one-shot store skips the memory tier (this process serves no
+	// second request) and keeps its own counters out of the run's
 	// telemetry snapshot.
-	raw, err := os.ReadFile(o.path)
-	if err != nil {
-		return err
-	}
-	hdr, rest, err := trace.PeekHeader(bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.path, err)
-	}
-	cache, err := store.Open(store.Config{Dir: o.cacheDir})
-	if err != nil {
-		return err
-	}
-	key := store.TraceKey(hdr, store.BodyDigest(raw), o.analysis)
-	// -stats-json reports the metrics of an actual run; a cache hit has
-	// none, so the lookup is skipped and the run's result is still stored.
-	if !o.statsJSON {
-		if e, ok := cache.Get(key); ok {
-			io.WriteString(stdout, core.ReplayReportFrom(
-				o.path, e.Program, e.Key.Seed, e.Events, e.Key.Source, e.Violations, e.Blamed))
-			return nil
+	var cache *store.Store
+	if o.cacheDir != "" {
+		if cache, err = store.Open(store.Config{Dir: o.cacheDir}); err != nil {
+			return err
 		}
 	}
-	d, err := trace.Read(rest)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.path, err)
-	}
-	res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg})
+	r, err := replayFile(ctx, cache, o.path, o.statsJSON, core.Config{Analysis: analysis, Telemetry: reg})
 	if err != nil {
 		return err
 	}
-	if err := cache.Put(key, &store.Entry{
-		Program:    d.Header.Program.Name,
-		Events:     d.Counts.Total(),
-		Violations: len(res.Violations),
-		Blamed:     res.BlamedMethodNames(d.Header.Program),
-	}); err != nil {
-		return err
-	}
-	io.WriteString(stdout, core.ReplayReport(o.path, d, res))
+	io.WriteString(stdout, core.ReplayReportFrom(o.path, r.entry.Program, r.hdr.Seed,
+		r.entry.Events, r.hdr.Source, r.entry.Violations, r.entry.Blamed))
 	if o.statsJSON {
-		stdout.Write(res.Telemetry.Deterministic().JSON())
+		stdout.Write(r.res.Telemetry.Deterministic().JSON())
 	}
 	return nil
+}
+
+// replayed is one re-checked trace file: its header, its verdict as a
+// store entry, and the run's result (nil when the store answered).
+type replayed struct {
+	hdr   *trace.Header
+	entry *store.Entry
+	res   *core.Result
+}
+
+// replayFile re-checks the .dct trace at path: the one path behind dcheck
+// -replay and dctrace replay. The file is read once; its header, plus a
+// raw-byte digest when there is a store, forms the cache key, and only a
+// miss decodes the events and runs the check. fresh skips the lookup,
+// because -stats-json reports the metrics of an actual run, but the result
+// is still stored. A nil cache holds nothing, so every call runs the check.
+func replayFile(ctx context.Context, cache *store.Store, path string, fresh bool, cfg core.Config) (replayed, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return replayed{}, err
+	}
+	// A file that opens but cannot be read fails as a trace read, which
+	// dctrace skips as undecodable, like any other unusable trace.
+	raw, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		return replayed{}, fmt.Errorf("%s: %w: %w", path, trace.ErrIO, err)
+	}
+	hdr, err := trace.ReadHeader(bytes.NewReader(raw))
+	if err != nil {
+		return replayed{}, fmt.Errorf("%s: %w", path, err)
+	}
+	key := cache.Key(hdr, raw, cfg.Analysis.String())
+	if !fresh {
+		if e, ok := cache.Get(key); ok {
+			return replayed{hdr: hdr, entry: e}, nil
+		}
+	}
+	d, err := trace.Read(bytes.NewReader(raw))
+	if err != nil {
+		return replayed{}, fmt.Errorf("%s: %w", path, err)
+	}
+	res, err := core.RunTrace(ctx, d, cfg)
+	if err != nil {
+		return replayed{}, err
+	}
+	e := &store.Entry{
+		Program:    hdr.Program.Name,
+		Events:     d.Counts.Total(),
+		Violations: len(res.Violations),
+		Blamed:     res.BlamedMethodNames(hdr.Program),
+	}
+	if err := cache.Put(key, e); err != nil {
+		return replayed{}, err
+	}
+	return replayed{hdr, e, res}, nil
 }
 
 func runRefine(ctx context.Context, prog *vm.Program, initial *spec.Spec, o dcheckOpts, stdout io.Writer) error {

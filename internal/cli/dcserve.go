@@ -27,7 +27,6 @@ type dcserveFlags struct {
 	cacheMem  int64
 	cacheDir  string
 	cacheDisk int64
-	noCache   bool
 	logLevel  string
 	flightBuf int
 }
@@ -37,7 +36,8 @@ type dcserveFlags struct {
 // 2 without listening. The zeros with a documented meaning keep it:
 // -concurrency 0 runs GOMAXPROCS checks, -retries 0 retries nothing, the
 // breaker's zeros take its defaults, -cache-mem 0 disables the memory tier
-// and -cache-disk 0 leaves the disk tier unbounded.
+// (and, without -cache-dir, the store) and -cache-disk 0 leaves the disk
+// tier unbounded.
 func parseDCServe(args []string, stderr io.Writer) (f dcserveFlags, ok bool) {
 	fs := flag.NewFlagSet("dcserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -53,10 +53,9 @@ func parseDCServe(args []string, stderr io.Writer) (f dcserveFlags, ok bool) {
 	fs.IntVar(&cfg.Retries, "retries", 1, "extra attempts a transient check failure earns (0: none)")
 	fs.Float64Var(&cfg.WorkloadScale, "scale", server.DefaultWorkloadScale, "scale factor for named workload checks")
 	fs.BoolVar(&cfg.AllowFaults, "allow-faults", false, "enable deterministic fault-injection query parameters (chaos testing only)")
-	fs.Int64Var(&f.cacheMem, "cache-mem", store.DefaultMemBudget, "result-store memory tier byte budget (0 disables the tier)")
+	fs.Int64Var(&f.cacheMem, "cache-mem", store.DefaultMemBudget, "result-store memory tier byte budget (0 disables the tier; with no -cache-dir, the store)")
 	fs.StringVar(&f.cacheDir, "cache-dir", "", "result-store disk tier directory (empty disables the tier)")
 	fs.Int64Var(&f.cacheDisk, "cache-disk", 0, "result-store disk tier byte budget (0: unbounded)")
-	fs.BoolVar(&f.noCache, "no-cache", false, "disable the result store entirely (every check runs cold)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
 	fs.IntVar(&f.flightBuf, "flight-buf", obs.DefaultFlightRecorderSize,
 		"flight recorder ring capacity (recent span/log/panic/quarantine events, served at /debug/flightrecorder)")
@@ -121,9 +120,10 @@ func DCServe(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg.Recorder = rec
 
 	// The result store is on by default (memory tier only); -cache-dir adds
-	// the persistent tier, -no-cache turns the whole thing off. Store and
-	// server share one registry so /metrics shows store.* beside server.*.
-	if !f.noCache && (f.cacheMem > 0 || f.cacheDir != "") {
+	// the persistent tier, and -cache-mem 0 with no -cache-dir leaves the
+	// server storeless. Store and server share one registry so /metrics
+	// shows store.* beside server.*.
+	if f.cacheMem > 0 || f.cacheDir != "" {
 		cfg.Telemetry = telemetry.NewRegistry()
 		cache, err := store.Open(store.Config{
 			Dir:        f.cacheDir,

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -123,17 +122,7 @@ func loadUnit(path string) (*vm.Program, *spec.Spec, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s:%v", path, err)
 	}
-	sp := spec.New(unit.Prog)
-	atomicSet := make(map[string]bool, len(unit.AtomicMethods))
-	for _, n := range unit.AtomicMethods {
-		atomicSet[n] = true
-	}
-	for _, m := range unit.Prog.Methods {
-		if !atomicSet[m.Name] {
-			sp.Exclude(m.ID)
-		}
-	}
-	return unit.Prog, sp, nil
+	return unit.Prog, spec.AtomicOnly(unit.Prog, unit.AtomicMethods), nil
 }
 
 func dctraceRecord(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -306,6 +295,21 @@ func dctraceInfo(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// checkFanOut rejects a negative -workers or -trace-timeout for replay and
+// diff with errUsage; the zeros keep their meaning (GOMAXPROCS workers, no
+// per-trace budget).
+func checkFanOut(stderr io.Writer, cmd string, workers int, timeout time.Duration) error {
+	switch {
+	case workers < 0:
+		fmt.Fprintf(stderr, "dctrace %s: -workers %d is negative\n", cmd, workers)
+	case timeout < 0:
+		fmt.Fprintf(stderr, "dctrace %s: -trace-timeout %v is negative\n", cmd, timeout)
+	default:
+		return nil
+	}
+	return errUsage
+}
+
 // traceJob is one unit of fan-out work: replay or diff one trace file.
 type traceJob struct {
 	index int
@@ -438,6 +442,9 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 		fs.PrintDefaults()
 		return errUsage
 	}
+	if err := checkFanOut(stderr, "replay", *workers, *timeout); err != nil {
+		return err
+	}
 	analysis, err := core.ParseAnalysis(*analysisName)
 	if err != nil {
 		return err
@@ -460,76 +467,27 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 	// every trace cold while still writing results back.
 	var cache *store.Store
 	if *cacheDir != "" {
-		cache, err = store.Open(store.Config{Dir: *cacheDir})
-		if err != nil {
+		if cache, err = store.Open(store.Config{Dir: *cacheDir}); err != nil {
 			return err
 		}
-	}
-	replayLine := func(path string, violations int, blamed []string) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s: %d violation(s)", path, violations)
-		if len(blamed) > 0 {
-			fmt.Fprintf(&b, ", blamed %v", blamed)
-		}
-		b.WriteString("\n")
-		return b.String()
 	}
 	return runTraceJobs(ctx, paths, *workers, *timeout, "replay-"+analysis.String(),
 		func(ctx context.Context, path string) (string, bool, error) {
 			sp, ctx := obs.StartSpan(ctx, "dctrace.trace")
 			sp.SetStr("path", path)
 			defer sp.End()
-			if cache == nil {
-				d, err := trace.ReadFile(path)
-				if err != nil {
-					return "", false, err
-				}
-				res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis})
-				if err != nil {
-					return "", false, err
-				}
-				var b strings.Builder
-				b.WriteString(replayLine(path, len(res.Violations), res.BlamedMethodNames(d.Header.Program)))
-				if *statsJSON {
-					b.Write(res.Telemetry.Deterministic().JSON())
-				}
-				return b.String(), false, nil
-			}
-
-			raw, err := os.ReadFile(path)
+			r, err := replayFile(ctx, cache, path, *statsJSON, core.Config{Analysis: analysis})
 			if err != nil {
-				return "", false, err
-			}
-			hdr, rest, err := trace.PeekHeader(bytes.NewReader(raw))
-			if err != nil {
-				return "", false, fmt.Errorf("%s: %w", path, err)
-			}
-			key := store.TraceKey(hdr, store.BodyDigest(raw), *analysisName)
-			if !*statsJSON {
-				if e, ok := cache.Get(key); ok {
-					return replayLine(path, e.Violations, e.Blamed), false, nil
-				}
-			}
-			d, err := trace.Read(rest)
-			if err != nil {
-				return "", false, fmt.Errorf("%s: %w", path, err)
-			}
-			res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis})
-			if err != nil {
-				return "", false, err
-			}
-			if err := cache.Put(key, &store.Entry{
-				Program:    d.Header.Program.Name,
-				Events:     d.Counts.Total(),
-				Violations: len(res.Violations),
-				Blamed:     res.BlamedMethodNames(d.Header.Program),
-			}); err != nil {
 				return "", false, err
 			}
 			var b strings.Builder
-			b.WriteString(replayLine(path, len(res.Violations), res.BlamedMethodNames(d.Header.Program)))
+			fmt.Fprintf(&b, "%s: %d violation(s)", path, r.entry.Violations)
+			if len(r.entry.Blamed) > 0 {
+				fmt.Fprintf(&b, ", blamed %v", r.entry.Blamed)
+			}
+			b.WriteString("\n")
 			if *statsJSON {
-				b.Write(res.Telemetry.Deterministic().JSON())
+				b.Write(r.res.Telemetry.Deterministic().JSON())
 			}
 			return b.String(), false, nil
 		}, stdout, logger)
@@ -550,6 +508,9 @@ func dctraceDiff(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		fmt.Fprintln(stderr, "usage: dctrace diff [flags] trace.dct|dir ...")
 		fs.PrintDefaults()
 		return errUsage
+	}
+	if err := checkFanOut(stderr, "diff", *workers, *timeout); err != nil {
+		return err
 	}
 	paths, err := expandTracePaths(fs.Args())
 	if err != nil {
@@ -629,7 +590,7 @@ func dctraceFuzz(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	fs := flag.NewFlagSet("dctrace fuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		budget   = fs.Int("budget", 200, "number of (workload, scheduler, seed) triples to explore")
+		budget   = fs.Int("budget", 200, "number of (workload, scheduler, seed) triples to explore (0: the harness default, 60)")
 		seedBase = fs.Int64("seed", 1, "first schedule seed of the sweep")
 		reproDir = fs.String("repro-dir", "testdata/repros", "directory for shrunk failure repros (empty: do not write repros)")
 		tiny     = fs.Bool("tiny", true, "also exhaustively enumerate every interleaving of the tiny corpus")
@@ -639,6 +600,10 @@ func dctraceFuzz(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "usage: dctrace fuzz [flags]")
+		return errUsage
+	}
+	if *budget < 0 {
+		fmt.Fprintf(stderr, "dctrace fuzz: -budget %d is negative\n", *budget)
 		return errUsage
 	}
 	failed := false

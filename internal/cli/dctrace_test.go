@@ -205,6 +205,29 @@ func TestDCTraceUsageErrors(t *testing.T) {
 			t.Errorf("args %v: exit %d, want 2", args, code)
 		}
 	}
+	// Numbers outside their domain exit 2 naming the flag, without running.
+	golden := filepath.Join("..", "..", "testdata", "traces", "elevator.dct")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-workers", []string{"replay", "-workers", "-3", golden}},
+		{"-trace-timeout", []string{"replay", "-trace-timeout", "-1s", golden}},
+		{"-workers", []string{"diff", "-workers", "-3", golden}},
+		{"-trace-timeout", []string{"diff", "-trace-timeout", "-1s", golden}},
+		{"-budget", []string{"fuzz", "-tiny=false", "-repro-dir", "", "-budget", "-1"}},
+	} {
+		var out, errb bytes.Buffer
+		if code := DCTrace(tc.args, &out, &errb); code != 2 {
+			t.Errorf("args %v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.flag+" ") {
+			t.Errorf("args %v: stderr does not name %s: %q", tc.args, tc.flag, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: ran anyway:\n%s", tc.args, out.String())
+		}
+	}
 	var out, errb bytes.Buffer
 	if code := DCTrace([]string{"help"}, &out, &errb); code != 0 {
 		t.Errorf("help exit %d", code)

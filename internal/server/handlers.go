@@ -124,23 +124,25 @@ func (s *Server) writeFail(w http.ResponseWriter, f *checkFail) {
 	s.writeErr(w, f.status, f.kind, f.msg, f.retryAfter)
 }
 
-// writeReport emits one successful check report; cacheState tags the
-// response with X-DC-Cache when the result store is in play ("" omits it).
-func (s *Server) writeReport(w http.ResponseWriter, cacheState, report string) {
+// writeReport emits one successful check report.
+func (s *Server) writeReport(w http.ResponseWriter, report string) {
 	s.reg.Counter(telemetry.ServerOK).Inc()
-	if cacheState != "" {
-		w.Header().Set(CacheHeader, cacheState)
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, report)
 }
 
-// writeCached renders a stored entry as the canonical replay report — the
-// shared core renderer guarantees the bytes match a cold run — under the
-// caller's own display name, which is never cached.
-func (s *Server) writeCached(w http.ResponseWriter, name string, e *store.Entry, cacheState string) {
-	s.writeReport(w, cacheState, core.ReplayReportFrom(
-		name, e.Program, e.Key.Seed, e.Events, e.Key.Source, e.Violations, e.Blamed))
+// writeEntry renders a trace check's verdict as the canonical replay
+// report under the caller's own display name, which is never cached; the
+// seed and source come from the upload's header. A cold run, a hit and a
+// coalesced waiter all render here, so their bytes match by construction.
+// With a store, cacheState tags the response with X-DC-Cache; a storeless
+// server has no cache disposition to report.
+func (s *Server) writeEntry(w http.ResponseWriter, name string, hdr *trace.Header, e *store.Entry, cacheState string) {
+	if s.cache != nil {
+		w.Header().Set(CacheHeader, cacheState)
+	}
+	s.writeReport(w, core.ReplayReportFrom(
+		name, e.Program, hdr.Seed, e.Events, hdr.Source, e.Violations, e.Blamed))
 }
 
 // admitFail runs admission control, converting a rejection into its
@@ -234,7 +236,7 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 	// The header alone prices the request: it carries the breaker key (the
 	// trace's program+spec identity) and, with the raw-byte digest, the
 	// cache key — full event decode waits until a check actually runs.
-	hdr, rest, err := trace.PeekHeader(bytes.NewReader(body))
+	hdr, err := trace.ReadHeader(bytes.NewReader(body))
 	if err != nil {
 		s.reg.Counter(telemetry.ServerBadRequests).Inc()
 		s.writeErr(w, http.StatusBadRequest, "bad-trace", err.Error(), 0)
@@ -242,35 +244,9 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	bkey := fmt.Sprintf("trace:%016x.%016x", hdr.ProgramDigest, hdr.SpecDigest)
 
-	if s.cache == nil {
-		release := s.admitOrReject(w, r)
-		if release == nil {
-			return
-		}
-		defer release()
-		d, err := trace.Read(rest)
-		if err != nil {
-			s.reg.Counter(telemetry.ServerBadRequests).Inc()
-			s.writeErr(w, http.StatusBadRequest, "bad-trace", err.Error(), 0)
-			return
-		}
-		report, cf := runSupervised(s, r, bkey, analysisName, hdr.Seed,
-			func(ctx context.Context, seed int64) (string, error) {
-				res, err := s.runTrace(ctx, d, analysis)
-				if err != nil {
-					return "", err
-				}
-				return core.ReplayReport(displayName, d, res), nil
-			})
-		if cf != nil {
-			s.writeFail(w, cf)
-			return
-		}
-		s.writeReport(w, "", report)
-		return
-	}
-
-	ckey := store.TraceKey(hdr, store.BodyDigest(body), analysisName)
+	// A storeless server's Lookup always leads, so every check runs
+	// through leadCheck and nothing coalesces.
+	ckey := s.cache.Key(hdr, body, analysisName)
 	for {
 		gsp, _ := obs.StartSpan(r.Context(), telemetry.SpanStoreGet)
 		entry, flight, leader := s.cache.Lookup(ckey)
@@ -278,12 +254,12 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 		case entry != nil:
 			gsp.SetStr("state", "hit")
 			gsp.End()
-			s.writeCached(w, displayName, entry, "hit")
+			s.writeEntry(w, displayName, hdr, entry, "hit")
 			return
 		case leader:
 			gsp.SetStr("state", "lead")
 			gsp.End()
-			s.leadCheck(w, r, ckey, flight, bkey, analysisName, analysis, body, displayName)
+			s.leadCheck(w, r, ckey, flight, bkey, analysis, hdr, body, displayName)
 			return
 		}
 		gsp.SetStr("state", "coalesce")
@@ -297,7 +273,7 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 			csp.End()
 			e, ferr := flight.Result()
 			if e != nil {
-				s.writeCached(w, displayName, e, "coalesced")
+				s.writeEntry(w, displayName, hdr, e, "coalesced")
 				return
 			}
 			cf, ok := ferr.(*checkFail)
@@ -331,17 +307,14 @@ func (s *Server) handleCheckTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runTrace replays one decoded trace into the server's registry.
-func (s *Server) runTrace(ctx context.Context, d *trace.Data, analysis core.Analysis) (*core.Result, error) {
-	return core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: s.reg})
-}
-
-// leadCheck is the singleflight leader's path: admit, decode, run the
-// check, publish the result to the store and the flight's waiters, then
-// answer its own request as a miss. Every exit calls Finish exactly once —
-// an abandoned flight would strand its waiters until drain.
+// leadCheck is the server's one trace-check runner, the singleflight
+// leader's path: admit, decode, run the check, publish the result to the
+// store and the flight's waiters, then answer its own request as a miss.
+// Every exit calls Finish exactly once — an abandoned flight would strand
+// its waiters until drain. A storeless server's leader has no flight and
+// its store keeps nothing.
 func (s *Server) leadCheck(w http.ResponseWriter, r *http.Request, ckey store.Key, flight *store.Flight,
-	bkey, analysisName string, analysis core.Analysis, body []byte, displayName string) {
+	bkey string, analysis core.Analysis, hdr *trace.Header, body []byte, displayName string) {
 
 	lsp, lctx := obs.StartSpan(r.Context(), telemetry.SpanLeadCheck)
 	defer lsp.End()
@@ -366,9 +339,9 @@ func (s *Server) leadCheck(w http.ResponseWriter, r *http.Request, ckey store.Ke
 		return
 	}
 
-	res, cf := runSupervised(s, r, bkey, analysisName, d.Header.Seed,
+	res, cf := runSupervised(s, r, bkey, analysis.String(), hdr.Seed,
 		func(ctx context.Context, seed int64) (*core.Result, error) {
-			return s.runTrace(ctx, d, analysis)
+			return core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: s.reg})
 		})
 	if cf != nil {
 		fail(cf)
@@ -376,17 +349,16 @@ func (s *Server) leadCheck(w http.ResponseWriter, r *http.Request, ckey store.Ke
 	}
 
 	entry := &store.Entry{
-		Key:        ckey,
-		Program:    d.Header.Program.Name,
+		Program:    hdr.Program.Name,
 		Events:     d.Counts.Total(),
 		Violations: len(res.Violations),
-		Blamed:     res.BlamedMethodNames(d.Header.Program),
+		Blamed:     res.BlamedMethodNames(hdr.Program),
 	}
 	psp, _ := obs.StartSpan(r.Context(), telemetry.SpanStorePut)
 	s.cache.Put(ckey, entry)
 	psp.End()
 	s.cache.Finish(ckey, flight, entry, nil)
-	s.writeCached(w, displayName, entry, "miss")
+	s.writeEntry(w, displayName, hdr, entry, "miss")
 }
 
 // handleCheckWorkload checks a named built-in workload: POST
@@ -475,7 +447,7 @@ func (s *Server) handleCheckWorkload(w http.ResponseWriter, r *http.Request) {
 		s.writeFail(w, cf)
 		return
 	}
-	s.writeReport(w, "", report)
+	s.writeReport(w, report)
 }
 
 // workloadReport renders a live workload check in the same shape as the

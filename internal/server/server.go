@@ -22,6 +22,8 @@
 //     keyed by content address (DESIGN.md §12); hits bypass the admission
 //     queue entirely, concurrent identical uploads coalesce onto one
 //     checker run, and every 200 carries X-DC-Cache: hit|miss|coalesced.
+//     Without one, the nil store holds nothing: every trace check leads
+//     its own run on the same path, and no response carries X-DC-Cache.
 //
 // A report served for a trace is byte-identical to `dcheck -replay` on the
 // same file, cached or cold: hit and miss paths both
@@ -84,7 +86,8 @@ type Config struct {
 	// are keyed by (trace identity, raw-byte digest, analysis): hits are
 	// answered straight from the store — bypassing the admission queue —
 	// and concurrent identical uploads coalesce onto one checker run. Every
-	// 200 carries X-DC-Cache: hit|miss|coalesced. nil disables caching.
+	// 200 carries X-DC-Cache: hit|miss|coalesced. nil disables caching:
+	// every check runs, and no response carries X-DC-Cache.
 	Cache *store.Store
 	// Logger receives the structured request log (one line per check
 	// request) and lifecycle diagnostics. nil keeps the server silent —

@@ -106,6 +106,9 @@ func TestServeTraceMatchesDCheckReplay(t *testing.T) {
 					t.Errorf("%s: served report differs from dcheck -replay\nserved:\n%s\ndcheck:\n%s",
 						path, got, want)
 				}
+				if c := resp.Header.Get(server.CacheHeader); c != "" {
+					t.Errorf("%s: storeless server sent %s: %s", path, server.CacheHeader, c)
+				}
 			}
 		})
 	}

@@ -34,6 +34,23 @@ func New(prog *vm.Program, excluded ...vm.MethodID) *Spec {
 	return s
 }
 
+// AtomicOnly returns the specification in which exactly the named methods
+// are atomic: the one a .dcp program's atomic declarations state. Names
+// that match no method of prog are ignored.
+func AtomicOnly(prog *vm.Program, names []string) *Spec {
+	atomic := make(map[string]bool, len(names))
+	for _, n := range names {
+		atomic[n] = true
+	}
+	s := New(prog)
+	for _, m := range prog.Methods {
+		if !atomic[m.Name] {
+			s.excluded[m.ID] = true
+		}
+	}
+	return s
+}
+
 // Initial returns the paper's starting specification: all methods atomic
 // except thread entry points and methods that contain interrupting
 // operations (wait, notify) or thread management (fork, join) — the

@@ -44,6 +44,23 @@ func TestInitialExcludesEntriesAndInterrupters(t *testing.T) {
 	}
 }
 
+func TestAtomicOnly(t *testing.T) {
+	prog := buildProg()
+	s := AtomicOnly(prog, []string{"inc", "waiter", "no-such-method"})
+	for _, m := range prog.Methods {
+		want := m.Name == "inc" || m.Name == "waiter"
+		if s.Atomic(m.ID) != want {
+			t.Errorf("%s atomic = %v, want %v", m.Name, s.Atomic(m.ID), want)
+		}
+	}
+	if s.Size() != 2 {
+		t.Errorf("size = %d, want 2", s.Size())
+	}
+	if AtomicOnly(prog, nil).Size() != 0 {
+		t.Error("no names must leave no method atomic")
+	}
+}
+
 func TestExcludeAndClone(t *testing.T) {
 	prog := buildProg()
 	s := Initial(prog)

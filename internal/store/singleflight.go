@@ -33,7 +33,11 @@ func (f *Flight) Result() (*Entry, error) { return f.entry, f.err }
 // with the caller as leader (nil, flight, true). A leader must call Finish
 // exactly once; abandoning a flight strands its waiters. Misses are charged
 // to leaders only, so the hit/miss/coalesced counters partition requests.
+// A nil store has nothing to share: every caller leads, with no flight.
 func (s *Store) Lookup(k Key) (*Entry, *Flight, bool) {
+	if s == nil {
+		return nil, nil, true
+	}
 	if e, ok := s.lookup(k); ok {
 		return e, nil, false
 	}
@@ -64,8 +68,12 @@ func (s *Store) Lookup(k Key) (*Entry, *Flight, bool) {
 // Finish publishes the leader's outcome on f and releases its waiters. The
 // result is NOT stored here — a leader that wants the result cached calls
 // Put first (hits for late arrivals), then Finish (release for waiters);
-// a leader whose run failed or is uncacheable calls Finish alone.
+// a leader whose run failed or is uncacheable calls Finish alone. Finish
+// without a flight (a nil store's leader holds none) does nothing.
 func (s *Store) Finish(k Key, f *Flight, e *Entry, err error) {
+	if f == nil {
+		return
+	}
 	id := k.ID()
 	s.mu.Lock()
 	if s.flights[id] == f {

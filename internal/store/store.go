@@ -15,6 +15,11 @@
 //
 // Singleflight (singleflight.go) rides on the same index so concurrent
 // identical requests share one checker run.
+//
+// A nil *Store is a valid store that holds nothing: Get misses, Put keeps
+// nothing, Lookup makes every caller a leader with no flight, and Key skips
+// hashing the body. Callers run one check path whether or not a store was
+// configured.
 package store
 
 import (
@@ -28,6 +33,7 @@ import (
 
 	"doublechecker/internal/obs"
 	"doublechecker/internal/telemetry"
+	"doublechecker/internal/trace"
 )
 
 // DefaultMemBudget is the memory tier's default byte budget (dcserve's
@@ -62,7 +68,8 @@ type Config struct {
 	Recorder *obs.FlightRecorder
 }
 
-// Store is the two-tier cache. All methods are safe for concurrent use.
+// Store is the two-tier cache. All methods are safe for concurrent use,
+// and all of them accept a nil *Store, which holds nothing.
 type Store struct {
 	dir        string
 	memBudget  int64
@@ -166,13 +173,24 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the disk tier's directory ("" when the tier is disabled).
-func (s *Store) Dir() string { return s.dir }
+// Key returns the content address of checking body, whose header is hdr,
+// under the named analysis (see TraceKey). A nil store compares no keys,
+// so it leaves BodyDigest zero rather than hash the body.
+func (s *Store) Key(hdr *trace.Header, body []byte, analysis string) Key {
+	var digest uint64
+	if s != nil {
+		digest = BodyDigest(body)
+	}
+	return TraceKey(hdr, digest, analysis)
+}
 
 // Get returns the cached entry for k, or (nil, false) on a miss. Disk-tier
 // hits are promoted into the memory tier. Any artifact that fails to decode
 // or answers a different key is quarantined and reported as a miss.
 func (s *Store) Get(k Key) (*Entry, bool) {
+	if s == nil {
+		return nil, false
+	}
 	e, ok := s.lookup(k)
 	if !ok {
 		s.misses.Inc()
@@ -234,6 +252,9 @@ func (s *Store) lookup(k Key) (*Entry, bool) {
 // Put stores e under k in both tiers. The entry's Key field is overwritten
 // with k so the on-disk record always embeds the address it is filed under.
 func (s *Store) Put(k Key, e *Entry) error {
+	if s == nil {
+		return nil
+	}
 	e.Key = k
 	id := k.ID()
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"doublechecker/internal/telemetry"
+	"doublechecker/internal/trace"
 )
 
 // testKey builds a distinct valid key; i varies every field so two keys
@@ -377,5 +378,45 @@ func TestPutGetWithBothTiersDisabled(t *testing.T) {
 	}
 	if _, ok := s.Get(k); ok {
 		t.Error("tierless store produced a hit")
+	}
+}
+
+// TestNilStoreHoldsNothing pins the nil-store contract that lets callers
+// run one check path with or without a configured store: Get misses, Put
+// keeps nothing, every Lookup leads with no flight (so nothing coalesces),
+// Finish without a flight does nothing, and Key leaves the body unhashed.
+func TestNilStoreHoldsNothing(t *testing.T) {
+	var s *Store
+	k := testKey(1)
+	if err := s.Put(k, testEntry(1)); err != nil {
+		t.Fatalf("nil Put: %v", err)
+	}
+	if e, ok := s.Get(k); ok || e != nil {
+		t.Errorf("nil Get after Put = %v, %v; want a miss", e, ok)
+	}
+	for i := 0; i < 2; i++ {
+		e, f, lead := s.Lookup(k)
+		if e != nil || f != nil || !lead {
+			t.Fatalf("nil Lookup %d = (%v, %v, %v); want a leader with no flight", i, e, f, lead)
+		}
+		s.Finish(k, f, testEntry(1), nil)
+	}
+
+	hdr := &trace.Header{Version: 1, ProgramDigest: 7, SpecDigest: 8, Seed: 9, Sched: "sticky(0.1)", Source: "x.dcp"}
+	body := []byte("trace bytes")
+	if got, want := s.Key(hdr, body, "velodrome"), TraceKey(hdr, 0, "velodrome"); got != want {
+		t.Errorf("nil Key = %+v, want %+v", got, want)
+	}
+	st, err := Open(Config{MemBudget: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Key(hdr, body, "velodrome"), TraceKey(hdr, BodyDigest(body), "velodrome"); got != want {
+		t.Errorf("Key = %+v, want %+v", got, want)
+	}
+	// A real store's leader may also finish with no flight in hand.
+	st.Finish(k, nil, nil, errors.New("no flight"))
+	if _, _, lead := st.Lookup(k); !lead {
+		t.Error("Finish without a flight disturbed the store")
 	}
 }

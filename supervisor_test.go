@@ -17,6 +17,7 @@ import (
 	"doublechecker/internal/core"
 	"doublechecker/internal/faultinject"
 	"doublechecker/internal/lang"
+	"doublechecker/internal/spec"
 	"doublechecker/internal/supervise"
 	"doublechecker/internal/vm"
 )
@@ -215,7 +216,7 @@ func cleanAbbaWindow(t *testing.T) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := specFromUnit(unit)
+	sp := spec.AtomicOnly(unit.Prog, unit.AtomicMethods)
 	clean := func(seed int64) bool {
 		_, err := core.Run(unit.Prog, core.Config{
 			Analysis: core.DCSingle,

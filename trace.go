@@ -7,6 +7,7 @@ import (
 
 	"doublechecker/internal/core"
 	"doublechecker/internal/lang"
+	"doublechecker/internal/spec"
 	"doublechecker/internal/supervise"
 	"doublechecker/internal/trace"
 	"doublechecker/internal/vm"
@@ -77,7 +78,7 @@ func RecordSourceContext(ctx context.Context, src string, w io.Writer, opts Opti
 		return nil, err
 	}
 	prog := unit.Prog
-	sp := specFromUnit(unit)
+	sp := spec.AtomicOnly(unit.Prog, unit.AtomicMethods)
 	tw, err := trace.NewWriter(w, trace.Header{
 		Program: prog,
 		Atomic:  sp.AtomicMethods(),
