@@ -126,8 +126,14 @@ func NewMeter(model Model) *Meter {
 // without killing the experiment).
 func (m *Meter) SetBudget(bytes int64) { m.budget = bytes }
 
-// Model returns the meter's cost model.
-func (m *Meter) Model() Model { return m.model }
+// Model returns the meter's cost model; a nil meter has the zero model.
+// Checkers read it once, when they are built, and charge from their copy.
+func (m *Meter) Model() Model {
+	if m == nil {
+		return Model{}
+	}
+	return m.model
+}
 
 // Charge adds u units of analysis or program cost.
 func (m *Meter) Charge(u Units) { m.total += u }

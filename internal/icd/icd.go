@@ -168,21 +168,23 @@ var arenas interface {
 // transactions take part in detection (§3.2.3).
 func eligible(t *txn.Txn) bool { return t.Finished && !t.Dead() }
 
-// Checker is an ICD instance; it implements vm.Instrumentation.
+// Checker is an ICD instance; it implements vm.Instrumentation. Per-thread
+// state lives in slices indexed by thread ID.
 type Checker struct {
 	vm.NopInst
 	prog  *vm.Program
 	meter *cost.Meter
+	model cost.Model // the meter's prices, read once
 	opts  Options
 
 	mgr   *txn.Manager
 	oct   *octet.Engine
 	arena *arena // between ProgramStart and ProgramEnd
 
-	lastRdEx  map[vm.ThreadID]*txn.Txn
+	lastRdEx  []*txn.Txn // by thread; nil until the thread's first RdEx
 	gLastRdSh *txn.Txn
 
-	skipping map[vm.ThreadID]bool
+	skipping []bool // by thread: inside a transaction the filter leaves out
 	exec     vm.ExecView
 
 	// sccMethods accumulates the static transaction information multi-run
@@ -225,12 +227,24 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 	return &Checker{
 		prog:       prog,
 		meter:      meter,
+		model:      meter.Model(),
 		opts:       opts,
-		lastRdEx:   make(map[vm.ThreadID]*txn.Txn),
-		skipping:   make(map[vm.ThreadID]bool),
 		sccMethods: make(map[vm.MethodID]int),
 		tel:        newTel(opts.Telemetry),
 	}
+}
+
+// skips reports whether thread t is inside a filtered-out transaction.
+func (c *Checker) skips(t vm.ThreadID) bool {
+	return int(t) < len(c.skipping) && c.skipping[t]
+}
+
+// lastRdExOf returns thread t's lastRdEx, or nil.
+func (c *Checker) lastRdExOf(t vm.ThreadID) *txn.Txn {
+	if int(t) < len(c.lastRdEx) {
+		return c.lastRdEx[t]
+	}
+	return nil
 }
 
 // recycles reports whether nothing retains transactions or edges past a
@@ -309,8 +323,7 @@ func (c *Checker) chargeEngine() {
 	}
 	c.incNodes, c.incEdges = st.NodesVisited, st.EdgesScanned
 	if c.meter != nil {
-		m := c.meter.Model()
-		u := m.SCCPerNode*cost.Units(dn) + m.SCCPerEdge*cost.Units(de)
+		u := c.model.SCCPerNode*cost.Units(dn) + c.model.SCCPerEdge*cost.Units(de)
 		c.meter.Charge(u)
 		c.stats.MaintenanceUnits += uint64(u)
 	}
@@ -422,6 +435,7 @@ func (c *Checker) ThreadExit(t vm.ThreadID) {
 // TxBegin implements vm.Instrumentation.
 func (c *Checker) TxBegin(t vm.ThreadID, m vm.MethodID) {
 	if !c.opts.Filter.TxSelected(m) {
+		c.skipping = vm.Grow(c.skipping, int(t))
 		c.skipping[t] = true
 		return
 	}
@@ -431,8 +445,8 @@ func (c *Checker) TxBegin(t vm.ThreadID, m vm.MethodID) {
 
 // TxEnd implements vm.Instrumentation.
 func (c *Checker) TxEnd(t vm.ThreadID, m vm.MethodID) {
-	if c.skipping[t] {
-		delete(c.skipping, t)
+	if c.skips(t) {
+		c.skipping[t] = false
 		return
 	}
 	c.mgr.EndRegular(t)
@@ -441,7 +455,7 @@ func (c *Checker) TxEnd(t vm.ThreadID, m vm.MethodID) {
 // Access implements vm.Instrumentation: the Octet barrier plus ICD's
 // logging instrumentation.
 func (c *Checker) Access(a vm.Access) {
-	if c.skipping[a.Thread] {
+	if c.skips(a.Thread) {
 		return
 	}
 	inTx := c.exec != nil && c.exec.InTx(a.Thread)
@@ -497,6 +511,7 @@ func (c *Checker) HandleConflicting(resp, req vm.ThreadID, old, new octet.State,
 		dst = c.mgr.Current(req)
 	}
 	if new.Kind == octet.RdEx && new.Owner == req {
+		c.lastRdEx = vm.Grow(c.lastRdEx, int(req))
 		c.lastRdEx[req] = dst
 	}
 }
@@ -504,13 +519,14 @@ func (c *Checker) HandleConflicting(resp, req vm.ThreadID, old, new octet.State,
 // HandleUpgrading implements octet.Hooks (Figure 4,
 // handleUpgradingTransition).
 func (c *Checker) HandleUpgrading(t vm.ThreadID, rdExOwner vm.ThreadID, old, new octet.State) {
+	last := c.lastRdExOf(rdExOwner)
 	var cur *txn.Txn
-	if c.lastRdEx[rdExOwner] != nil || c.gLastRdSh != nil {
+	if last != nil || c.gLastRdSh != nil {
 		cur = c.mgr.EdgeSink(t) // incoming edges cut merged unaries
 	} else {
 		cur = c.mgr.Current(t)
 	}
-	if last := c.lastRdEx[rdExOwner]; last != nil {
+	if last != nil {
 		c.addIDGEdge(last, cur, edgeUpgradeRdEx)
 	}
 	if c.gLastRdSh != nil {
@@ -538,7 +554,7 @@ func (c *Checker) addIDGEdge(src, dst *txn.Txn, kind idgEdgeKind) {
 			c.tel.edges[kind].Inc()
 		}
 		if c.meter != nil {
-			c.meter.Charge(c.meter.Model().IDGEdge)
+			c.meter.Charge(c.model.IDGEdge)
 		}
 		if c.inc != nil {
 			c.inc.AddEdge(src, dst)
@@ -549,14 +565,10 @@ func (c *Checker) addIDGEdge(src, dst *txn.Txn, kind idgEdgeKind) {
 		// The rejected per-edge strategy: look for a cycle through the new
 		// edge right now. Charged like SCC work.
 		c.stats.EagerChecks++
-		model := cost.Model{}
-		if c.meter != nil {
-			model = c.meter.Model()
-		}
 		succ := func(t *txn.Txn) []*txn.Txn {
 			c.stats.EagerNodesExplored++
 			if c.meter != nil {
-				c.meter.Charge(model.SCCPerNode + model.SCCPerEdge*cost.Units(len(t.Out)))
+				c.meter.Charge(c.model.SCCPerNode + c.model.SCCPerEdge*cost.Units(len(t.Out)))
 			}
 			return t.Succs()
 		}
@@ -608,10 +620,6 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 	c.stats.SCCDetections++
 	span := c.opts.Telemetry.StartSpan(c.opts.TraceSpan, telemetry.SpanICDSCC, c.meter)
 	defer span.End()
-	model := cost.Model{}
-	if c.meter != nil {
-		model = c.meter.Model()
-	}
 	var comp []*txn.Txn
 	var size int
 	if c.opts.OnSCC == nil {
@@ -641,7 +649,7 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 		}
 		c.stats.SCCNodesExplored += uint64(touched)
 		if c.meter != nil {
-			u := model.SCCPerNode * cost.Units(touched)
+			u := c.model.SCCPerNode * cost.Units(touched)
 			c.meter.Charge(u)
 			c.stats.DetectionUnits += uint64(u)
 		}
@@ -656,7 +664,7 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 		size = len(comp)
 		c.stats.SCCNodesExplored += uint64(size)
 		if c.meter != nil {
-			u := model.SCCPerNode * cost.Units(size)
+			u := c.model.SCCPerNode * cost.Units(size)
 			c.meter.Charge(u)
 			c.stats.DetectionUnits += uint64(u)
 		}
@@ -688,7 +696,9 @@ func (c *Checker) collect() {
 	defer span.End()
 	roots := c.rootsBuf[:0]
 	for _, tx := range c.lastRdEx {
-		roots = append(roots, tx)
+		if tx != nil {
+			roots = append(roots, tx)
+		}
 	}
 	if c.gLastRdSh != nil {
 		roots = append(roots, c.gLastRdSh)

@@ -192,16 +192,9 @@ type Engine struct {
 	exited   []bool // indexed by ThreadID
 	resps    []vm.ThreadID
 	meter    *cost.Meter
+	model    cost.Model // the meter's prices, read once
 	stats    Stats
 	tel      *tel
-}
-
-// grown extends xs with zero values so index n is addressable.
-func grown[T any](xs []T, n int) []T {
-	if n < len(xs) {
-		return xs
-	}
-	return append(xs, make([]T, n+1-len(xs))...)
 }
 
 // SetTelemetry attaches a registry: barrier outcomes are then counted live
@@ -230,16 +223,12 @@ func New(hooks Hooks, blocked func(vm.ThreadID) bool, meter *cost.Meter) *Engine
 	if blocked == nil {
 		blocked = func(vm.ThreadID) bool { return false }
 	}
-	return &Engine{
-		hooks:   hooks,
-		blocked: blocked,
-		meter:   meter,
-	}
+	return &Engine{hooks: hooks, blocked: blocked, meter: meter, model: meter.Model()}
 }
 
 // ThreadStart registers a live thread (a candidate responder).
 func (e *Engine) ThreadStart(t vm.ThreadID) {
-	e.live = grown(e.live, int(t))
+	e.live = vm.Grow(e.live, int(t))
 	e.live[t] = true
 }
 
@@ -249,7 +238,7 @@ func (e *Engine) ThreadStart(t vm.ThreadID) {
 // thread's last transaction) would miss dependences; the coordination is
 // trivially implicit, as with any blocked thread.
 func (e *Engine) ThreadExit(t vm.ThreadID) {
-	e.exited = grown(e.exited, int(t))
+	e.exited = vm.Grow(e.exited, int(t))
 	e.exited[t] = true
 }
 
@@ -263,7 +252,7 @@ func (e *Engine) StateOf(obj vm.ObjectID) State {
 
 // setState installs obj's state, growing the table on first touch.
 func (e *Engine) setState(obj vm.ObjectID, s State) {
-	e.states = grown(e.states, int(obj))
+	e.states = vm.Grow(e.states, int(obj))
 	e.states[obj] = s
 }
 
@@ -280,7 +269,7 @@ func (e *Engine) RdShCnt(t vm.ThreadID) uint64 {
 
 // setRdShCnt installs thread t's local read-shared counter.
 func (e *Engine) setRdShCnt(t vm.ThreadID, c uint64) {
-	e.rdShCnt = grown(e.rdShCnt, int(t))
+	e.rdShCnt = vm.Grow(e.rdShCnt, int(t))
 	e.rdShCnt[t] = c
 }
 
@@ -297,18 +286,10 @@ func (e *Engine) charge(u cost.Units) {
 	}
 }
 
-func (e *Engine) model() cost.Model {
-	if e.meter != nil {
-		return e.meter.Model()
-	}
-	return cost.Model{}
-}
-
 // BeforeRead runs the read barrier for thread t on obj (Table 1 read rows)
 // and returns the transition taken.
 func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 	old := e.StateOf(obj)
-	m := e.model()
 	switch old.Kind {
 	case WrEx, RdEx:
 		if old.Owner == t {
@@ -316,7 +297,7 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 			if e.tel != nil {
 				e.tel.fastPath.Inc()
 			}
-			e.charge(m.OctetFastPath)
+			e.charge(e.model.OctetFastPath)
 			return Transition{Kind: Same, Old: old, New: old}
 		}
 		if old.Kind == WrEx {
@@ -332,7 +313,7 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 		if e.tel != nil {
 			e.tel.upgrading.Inc()
 		}
-		e.charge(m.OctetUpgrade)
+		e.charge(e.model.OctetUpgrade)
 		e.hooks.HandleUpgrading(t, old.Owner, old, newState)
 		return Transition{Kind: Upgrading, Old: old, New: newState}
 	case RdSh:
@@ -341,7 +322,7 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 			if e.tel != nil {
 				e.tel.fastPath.Inc()
 			}
-			e.charge(m.OctetFastPath)
+			e.charge(e.model.OctetFastPath)
 			return Transition{Kind: Same, Old: old, New: old}
 		}
 		// Fence transition: update the thread's counter.
@@ -350,7 +331,7 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 		if e.tel != nil {
 			e.tel.fence.Inc()
 		}
-		e.charge(m.OctetFence)
+		e.charge(e.model.OctetFence)
 		e.hooks.HandleFence(t, old.Counter)
 		return Transition{Kind: Fence, Old: old, New: old}
 	default: // Free: first access claims read-exclusivity.
@@ -360,7 +341,7 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 		if e.tel != nil {
 			e.tel.initial.Inc()
 		}
-		e.charge(m.OctetUpgrade)
+		e.charge(e.model.OctetUpgrade)
 		return Transition{Kind: Initial, Old: old, New: newState}
 	}
 }
@@ -369,7 +350,6 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 // rows) and returns the transition taken.
 func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 	old := e.StateOf(obj)
-	m := e.model()
 	switch old.Kind {
 	case WrEx:
 		if old.Owner == t {
@@ -377,7 +357,7 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 			if e.tel != nil {
 				e.tel.fastPath.Inc()
 			}
-			e.charge(m.OctetFastPath)
+			e.charge(e.model.OctetFastPath)
 			return Transition{Kind: Same, Old: old, New: old}
 		}
 		return e.conflict(t, obj, old, State{Kind: WrEx, Owner: t})
@@ -391,7 +371,7 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 			if e.tel != nil {
 				e.tel.upgrading.Inc()
 			}
-			e.charge(m.OctetUpgrade)
+			e.charge(e.model.OctetUpgrade)
 			return Transition{Kind: Upgrading, Old: old, New: newState}
 		}
 		return e.conflict(t, obj, old, State{Kind: WrEx, Owner: t})
@@ -404,7 +384,7 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 		if e.tel != nil {
 			e.tel.initial.Inc()
 		}
-		e.charge(m.OctetUpgrade)
+		e.charge(e.model.OctetUpgrade)
 		return Transition{Kind: Initial, Old: old, New: newState}
 	}
 }
@@ -418,7 +398,6 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 // must coordinate with every other live thread (§3.2.2 "for conflicting
 // transitions from RdSh to WrExT, ICD adds edges from all threads").
 func (e *Engine) conflict(req vm.ThreadID, obj vm.ObjectID, old, newState State) Transition {
-	m := e.model()
 	e.stats.Conflicting++
 	if e.tel != nil {
 		e.tel.conflicting.Inc()
@@ -443,13 +422,13 @@ func (e *Engine) conflict(req vm.ThreadID, obj vm.ObjectID, old, newState State)
 			if e.tel != nil {
 				e.tel.explicit.Inc()
 			}
-			e.charge(m.OctetConflictExplicit)
+			e.charge(e.model.OctetConflictExplicit)
 		} else {
 			e.stats.Implicit++
 			if e.tel != nil {
 				e.tel.implicit.Inc()
 			}
-			e.charge(m.OctetConflictImplicit)
+			e.charge(e.model.OctetConflictImplicit)
 		}
 		e.stats.Responders++
 		e.hooks.HandleConflicting(resp, req, old, newState, explicit)

@@ -369,7 +369,8 @@ func TestRetryAfterOnDrainingAndQueueFull(t *testing.T) {
 // identical uploads while a saboteur continuously corrupts the cache files
 // under it. Every 200 must carry the reference bytes regardless — corrupt
 // entries quarantine and recompute, they never leak — and the server drains
-// cleanly afterwards.
+// cleanly afterwards. The load runs until a healthy upload was served and a
+// corrupted entry was quarantined (see loadWindow).
 func TestChaosCacheFailClosed(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(goldenDir, "elevator.dct")
@@ -389,19 +390,19 @@ func TestChaosCacheFailClosed(t *testing.T) {
 		DrainTimeout:  5 * time.Second,
 	}, store.Config{Dir: dir})
 
-	const loadFor = 1200 * time.Millisecond
-	deadline := time.Now().Add(loadFor)
 	var (
 		wg        sync.WaitGroup
 		healthyOK atomic.Uint64
 	)
+	quarantined := reg.Counter(telemetry.StoreQuarantined)
+	load := newLoadWindow(func() bool { return healthyOK.Load() > 0 && quarantined.Value() > 0 })
 	fail := func(format string, args ...any) { t.Errorf(format, args...) }
 
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			for load.more() {
 				resp, err := http.Post(ts.URL+"/check?name="+path, "application/octet-stream", bytes.NewReader(raw))
 				if err != nil {
 					fail("healthy upload: %v", err)
@@ -431,7 +432,7 @@ func TestChaosCacheFailClosed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for time.Now().Before(deadline) {
+		for load.more() {
 			files, _ := filepath.Glob(filepath.Join(dir, "*.dcr"))
 			for _, f := range files {
 				if b, err := os.ReadFile(f); err == nil && len(b) > 0 {
@@ -447,7 +448,7 @@ func TestChaosCacheFailClosed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for time.Now().Before(deadline) {
+		for load.more() {
 			resp, err := http.Post(ts.URL+"/check", "application/octet-stream", bytes.NewReader(corrupt))
 			if err != nil {
 				fail("corrupt upload: %v", err)
@@ -472,7 +473,7 @@ func TestChaosCacheFailClosed(t *testing.T) {
 	if healthyOK.Load() == 0 {
 		t.Error("no healthy upload was served during the chaos load")
 	}
-	if reg.Counter(telemetry.StoreQuarantined).Value() == 0 {
+	if quarantined.Value() == 0 {
 		t.Error("the saboteur's corruption was never quarantined")
 	}
 

@@ -16,6 +16,37 @@ import (
 	"doublechecker/internal/supervise"
 )
 
+// A chaos load runs for at least minLoad, then until what the test asserts
+// has happened, and never past maxLoad. The test waits on its own conditions
+// rather than on the clock, so a slow or busy runner only runs longer; a
+// condition that never holds still fails the test, after maxLoad.
+const (
+	minLoad = 1200 * time.Millisecond
+	maxLoad = 30 * time.Second
+)
+
+// loadWindow is one chaos load's window; seen reports the asserted
+// conditions.
+type loadWindow struct {
+	start time.Time
+	seen  func() bool
+}
+
+func newLoadWindow(seen func() bool) loadWindow {
+	return loadWindow{start: time.Now(), seen: seen}
+}
+
+// more reports whether the load should keep going.
+func (w loadWindow) more() bool {
+	switch elapsed := time.Since(w.start); {
+	case elapsed < minLoad:
+		return true
+	case elapsed >= maxLoad:
+		return false
+	}
+	return !w.seen()
+}
+
 // TestChaosSustainedAvailability is the acceptance scenario: a saturating
 // mixed client — healthy golden uploads, corrupt uploads, and a workload
 // poisoned with a deterministic panic plan — hammers a small server
@@ -23,7 +54,8 @@ import (
 // response: overload is shed with 429, the poisoned workload's circuit
 // opens while healthy traces keep being served byte-identically to `dcheck
 // -replay`, and when the load stops the server drains cleanly within its
-// deadline.
+// deadline. The load runs until a healthy upload was served and the circuit
+// rejected a request (see loadWindow).
 func TestChaosSustainedAvailability(t *testing.T) {
 	path := filepath.Join(goldenDir, "elevator.dct")
 	raw, err := os.ReadFile(path)
@@ -43,14 +75,13 @@ func TestChaosSustainedAvailability(t *testing.T) {
 		DrainTimeout:     5 * time.Second,
 	})
 
-	const loadFor = 1200 * time.Millisecond
-	deadline := time.Now().Add(loadFor)
 	var (
 		wg          sync.WaitGroup
 		healthyOK   atomic.Uint64
 		shed        atomic.Uint64
 		breakerHits atomic.Uint64
 	)
+	load := newLoadWindow(func() bool { return healthyOK.Load() > 0 && breakerHits.Load() > 0 })
 	fail := func(format string, args ...any) {
 		t.Errorf(format, args...)
 	}
@@ -61,7 +92,7 @@ func TestChaosSustainedAvailability(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			for load.more() {
 				resp, err := http.Post(ts.URL+"/check?name="+path, "application/octet-stream", bytes.NewReader(raw))
 				if err != nil {
 					fail("healthy upload: %v", err)
@@ -91,7 +122,7 @@ func TestChaosSustainedAvailability(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for time.Now().Before(deadline) {
+		for load.more() {
 			resp, err := http.Post(ts.URL+"/check", "application/octet-stream", bytes.NewReader(corrupt))
 			if err != nil {
 				fail("corrupt upload: %v", err)
@@ -114,7 +145,7 @@ func TestChaosSustainedAvailability(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for time.Now().Before(deadline) {
+		for load.more() {
 			resp, err := http.Post(ts.URL+"/check/workload?name=pmd9&panic-at-access=1", "", nil)
 			if err != nil {
 				fail("poisoned workload: %v", err)

@@ -364,7 +364,14 @@ func TestDrainCleanAndForced(t *testing.T) {
 			}
 			done <- resp
 		}()
-		time.Sleep(150 * time.Millisecond) // in-flight and stalled
+		// Wait until the stalled check is admitted: it then stays in flight
+		// for its 600 ms stall, far past the drain deadline.
+		inFlight := s.Registry().Gauge(telemetry.ServerInFlight)
+		for admitted := time.Now().Add(30 * time.Second); inFlight.Value() < 1; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(admitted) {
+				t.Fatal("the stalled check was never admitted")
+			}
+		}
 		if s.WaitDrain(context.Background()) {
 			t.Error("drain with a stalled check reported clean")
 		}

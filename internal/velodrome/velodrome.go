@@ -111,14 +111,15 @@ type Checker struct {
 	vm.NopInst
 	prog  *vm.Program
 	meter *cost.Meter
+	model cost.Model // the meter's prices, read once
 	opts  Options
 	mgr   *txn.Manager
 
 	meta map[fieldKey]*metadata
 
-	// skipping tracks threads currently inside an unmonitored regular
-	// transaction (filtered out by opts.Filter).
-	skipping map[vm.ThreadID]bool
+	// skipping marks, by thread ID, threads currently inside an unmonitored
+	// regular transaction (filtered out by opts.Filter).
+	skipping []bool
 
 	exec       vm.ExecView
 	violations []txn.Violation
@@ -135,12 +136,12 @@ type Checker struct {
 // NewChecker returns a Velodrome checker. meter may be nil.
 func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 	c := &Checker{
-		prog:     prog,
-		meter:    meter,
-		opts:     opts,
-		meta:     make(map[fieldKey]*metadata),
-		skipping: make(map[vm.ThreadID]bool),
-		tel:      newTel(opts.Telemetry, opts.Unsound),
+		prog:  prog,
+		meter: meter,
+		model: meter.Model(),
+		opts:  opts,
+		meta:  make(map[fieldKey]*metadata),
+		tel:   newTel(opts.Telemetry, opts.Unsound),
 	}
 	if c.opts.GCPeriod == 0 {
 		c.opts.GCPeriod = 8192
@@ -167,6 +168,7 @@ func (c *Checker) ProgramStart(e vm.ExecView) {
 // TxBegin implements vm.Instrumentation.
 func (c *Checker) TxBegin(t vm.ThreadID, m vm.MethodID) {
 	if !c.opts.Filter.TxSelected(m) {
+		c.skipping = vm.Grow(c.skipping, int(t))
 		c.skipping[t] = true
 		return
 	}
@@ -175,8 +177,8 @@ func (c *Checker) TxBegin(t vm.ThreadID, m vm.MethodID) {
 
 // TxEnd implements vm.Instrumentation.
 func (c *Checker) TxEnd(t vm.ThreadID, m vm.MethodID) {
-	if c.skipping[t] {
-		delete(c.skipping, t)
+	if c.skips(t) {
+		c.skipping[t] = false
 		return
 	}
 	c.mgr.EndRegular(t)
@@ -185,9 +187,14 @@ func (c *Checker) TxEnd(t vm.ThreadID, m vm.MethodID) {
 // ThreadExit implements vm.Instrumentation.
 func (c *Checker) ThreadExit(t vm.ThreadID) { c.mgr.ThreadExit(t) }
 
+// skips reports whether thread t is inside a filtered-out transaction.
+func (c *Checker) skips(t vm.ThreadID) bool {
+	return int(t) < len(c.skipping) && c.skipping[t]
+}
+
 // Access implements vm.Instrumentation: the Velodrome barrier.
 func (c *Checker) Access(a vm.Access) {
-	if c.skipping[a.Thread] {
+	if c.skips(a.Thread) {
 		return
 	}
 	inTx := c.exec != nil && c.exec.InTx(a.Thread)
@@ -226,16 +233,15 @@ func (c *Checker) Access(a vm.Access) {
 	// Analysis-access atomicity cost: the sound checker always pays the
 	// metadata lock; the unsound variant pays it only when the metadata
 	// actually changes.
-	model := c.model()
 	changes := c.metadataChanges(md, cur, a)
 	if c.opts.Unsound && !changes {
-		c.charge(model.VeloNoSyncPath)
+		c.charge(c.model.VeloNoSyncPath)
 		c.stats.SyncFastSkips++
 		if c.tel != nil {
 			c.tel.syncFastSkips.Inc()
 		}
 	} else {
-		c.charge(model.VeloSync)
+		c.charge(c.model.VeloSync)
 	}
 
 	if a.Write {
@@ -291,7 +297,7 @@ func (c *Checker) incomingEdge(md *metadata, a vm.Access) bool {
 
 // read applies the READ rule of Figure 5.
 func (c *Checker) read(md *metadata, cur *txn.Txn, seq uint64) {
-	c.charge(c.model().VeloMetadata)
+	c.charge(c.model.VeloMetadata)
 	if c.tel != nil {
 		c.tel.metadataUpdates.Inc()
 	}
@@ -303,7 +309,7 @@ func (c *Checker) read(md *metadata, cur *txn.Txn, seq uint64) {
 
 // write applies the WRITE rule of Figure 5.
 func (c *Checker) write(md *metadata, cur *txn.Txn, seq uint64) {
-	c.charge(c.model().VeloMetadata)
+	c.charge(c.model.VeloMetadata)
 	if c.tel != nil {
 		c.tel.metadataUpdates.Inc()
 	}
@@ -349,7 +355,7 @@ func (c *Checker) addEdge(src, dst *txn.Txn, seq uint64) {
 	if c.tel != nil {
 		c.tel.edges.Inc()
 	}
-	c.charge(c.model().VeloEdge)
+	c.charge(c.model.VeloEdge)
 	if c.opts.DisableCycleDetection {
 		return
 	}
@@ -361,7 +367,7 @@ func (c *Checker) addEdge(src, dst *txn.Txn, seq uint64) {
 	// returned path dst -> ... -> src plus the new edge is the cycle.
 	succ := func(t *txn.Txn) []*txn.Txn {
 		c.stats.CycleNodesVisited++
-		c.charge(c.model().VeloCycleNode)
+		c.charge(c.model.VeloCycleNode)
 		return t.Succs()
 	}
 	if path := graph.FindPath(dst, src, succ); path != nil {
@@ -391,11 +397,4 @@ func (c *Checker) charge(u cost.Units) {
 	if c.meter != nil {
 		c.meter.Charge(u)
 	}
-}
-
-func (c *Checker) model() cost.Model {
-	if c.meter != nil {
-		return c.meter.Model()
-	}
-	return cost.Model{}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"doublechecker/internal/cost"
 )
@@ -75,15 +76,20 @@ type monitor struct {
 // Exec runs one program under one configuration. Construct with NewExec and
 // drive with Run; an Exec is single-use.
 type Exec struct {
-	prog     *Program
-	cfg      Config
-	inst     Instrumentation
-	threads  []*thread
-	mons     map[ObjectID]*monitor
-	step     uint64
-	seq      uint64
-	stats    Stats
-	runnable []ThreadID // scratch
+	prog    *Program
+	cfg     Config
+	inst    Instrumentation
+	threads []*thread
+	// mons holds the monitors by ObjectID, grown on first use. A *monitor
+	// into it is valid only until the next mon call.
+	mons  []monitor
+	step  uint64
+	seq   uint64
+	stats Stats
+	model cost.Model // the meter's prices, read once
+	// runnable holds the runnable threads in ID order; setState keeps it
+	// current, so no step rescans the threads.
+	runnable []ThreadID
 }
 
 var _ ExecView = (*Exec)(nil)
@@ -102,12 +108,7 @@ func NewExec(prog *Program, cfg Config) *Exec {
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = 1024
 	}
-	e := &Exec{
-		prog: prog,
-		cfg:  cfg,
-		inst: cfg.Inst,
-		mons: make(map[ObjectID]*monitor),
-	}
+	e := &Exec{prog: prog, cfg: cfg, inst: cfg.Inst, model: cfg.Meter.Model()}
 	for _, td := range prog.Threads {
 		e.threads = append(e.threads, &thread{id: td.ID, state: tsNotStarted, txMethod: NoMethod})
 	}
@@ -185,7 +186,7 @@ func (e *Exec) RunContext(ctx context.Context) (*Stats, error) {
 				return &e.stats, fmt.Errorf("vm: aborted at step %d: %w", e.step, err)
 			}
 		}
-		run := e.collectRunnable()
+		run := e.runnable
 		if len(run) == 0 {
 			if e.allDone() {
 				break
@@ -213,14 +214,21 @@ func (e *Exec) RunContext(ctx context.Context) (*Stats, error) {
 	return &e.stats, nil
 }
 
-func (e *Exec) collectRunnable() []ThreadID {
-	e.runnable = e.runnable[:0]
-	for _, th := range e.threads {
-		if th.state == tsRunnable {
-			e.runnable = append(e.runnable, th.id)
-		}
+// setState moves th to state s. Every thread state change goes through it,
+// and it adds th to or removes th from the runnable list, which stays in ID
+// order.
+func (e *Exec) setState(th *thread, s tstate) {
+	was, is := th.state == tsRunnable, s == tsRunnable
+	th.state = s
+	if was == is {
+		return
 	}
-	return e.runnable
+	i, _ := slices.BinarySearch(e.runnable, th.id)
+	if is {
+		e.runnable = slices.Insert(e.runnable, i, th.id)
+	} else {
+		e.runnable = slices.Delete(e.runnable, i, i+1)
+	}
 }
 
 func (e *Exec) allDone() bool {
@@ -254,7 +262,7 @@ func (e *Exec) startThread(t ThreadID) error {
 	if th.state != tsNotStarted {
 		return fmt.Errorf("vm: thread t%d started twice", t)
 	}
-	th.state = tsRunnable
+	e.setState(th, tsRunnable)
 	e.stats.ThreadStarts++
 	e.inst.ThreadStart(t)
 	e.pushFrame(th, e.prog.Methods[e.prog.Threads[t].Entry])
@@ -302,10 +310,10 @@ func (e *Exec) unwind(th *thread) error {
 	e.emitAccess(th.id, e.prog.ThreadObject(th.id), 0, true, ClassSync)
 	e.stats.ThreadExits++
 	e.inst.ThreadExit(th.id)
-	th.state = tsDone
+	e.setState(th, tsDone)
 	for _, other := range e.threads {
 		if other.state == tsBlockedJoin && other.blockJoin == th.id {
-			other.state = tsRunnable
+			e.setState(other, tsRunnable)
 		}
 	}
 	return nil
@@ -324,19 +332,13 @@ func (e *Exec) emitAccess(t ThreadID, obj ObjectID, f FieldID, write bool, class
 	e.inst.Access(Access{Thread: t, Obj: obj, Field: f, Write: write, Class: class, Seq: e.seq})
 }
 
-func (e *Exec) charge(u cost.Units) {
-	if e.cfg.Meter != nil {
-		e.cfg.Meter.Charge(u)
-	}
-}
-
+// mon returns obj's monitor, growing the table on first use. Validate keeps
+// monitor operands in [0, NumObjects).
 func (e *Exec) mon(obj ObjectID) *monitor {
-	m, ok := e.mons[obj]
-	if !ok {
-		m = &monitor{owner: -1}
-		e.mons[obj] = m
+	for int(obj) >= len(e.mons) {
+		e.mons = append(e.mons, monitor{owner: -1})
 	}
-	return m
+	return &e.mons[obj]
 }
 
 // wakeLockWaiters makes every thread blocked acquiring obj runnable again;
@@ -344,7 +346,7 @@ func (e *Exec) mon(obj ObjectID) *monitor {
 func (e *Exec) wakeLockWaiters(obj ObjectID) {
 	for _, th := range e.threads {
 		if th.state == tsBlockedLock && th.blockOn == obj {
-			th.state = tsRunnable
+			e.setState(th, tsRunnable)
 		}
 	}
 }
@@ -352,7 +354,7 @@ func (e *Exec) wakeLockWaiters(obj ObjectID) {
 // stepThread executes (or attempts) one operation of th.
 func (e *Exec) stepThread(th *thread) error {
 	if e.cfg.Meter != nil {
-		e.charge(e.cfg.Meter.Model().BaseOp)
+		e.cfg.Meter.Charge(e.model.BaseOp)
 	}
 	top := &th.frames[len(th.frames)-1]
 	op := top.m.Body[top.pc]
@@ -370,7 +372,7 @@ func (e *Exec) stepThread(th *thread) error {
 	case OpAcquire:
 		m := e.mon(op.Obj)
 		if m.owner != -1 && m.owner != th.id {
-			th.state = tsBlockedLock
+			e.setState(th, tsBlockedLock)
 			th.blockOn = op.Obj
 			e.stats.BlockEvents++
 			return nil // retry when woken
@@ -418,7 +420,7 @@ func (e *Exec) stepThread(th *thread) error {
 			e.emitAccess(th.id, e.prog.ThreadObject(target.id), 0, false, ClassSync)
 			top.pc++
 		} else {
-			th.state = tsBlockedJoin
+			e.setState(th, tsBlockedJoin)
 			th.blockJoin = target.id
 			e.stats.BlockEvents++
 			return nil
@@ -429,7 +431,7 @@ func (e *Exec) stepThread(th *thread) error {
 		if th.reacquiring {
 			// Resuming after notify: reacquire the monitor.
 			if m.owner != -1 && m.owner != th.id {
-				th.state = tsBlockedLock
+				e.setState(th, tsBlockedLock)
 				th.blockOn = op.Obj
 				return nil
 			}
@@ -465,7 +467,7 @@ func (e *Exec) stepThread(th *thread) error {
 		m.owner = -1
 		e.wakeLockWaiters(op.Obj)
 		m.waitSet = append(m.waitSet, th.id)
-		th.state = tsWaiting
+		e.setState(th, tsWaiting)
 		th.blockOn = op.Obj
 		th.reacquiring = true
 		e.stats.Waits++
@@ -486,8 +488,8 @@ func (e *Exec) stepThread(th *thread) error {
 			m.permits++ // bank the signal (see OpWait)
 		}
 		for i := 0; i < n; i++ {
-			w := e.threads[m.waitSet[i]]
-			w.state = tsRunnable // will reacquire via its OpWait
+			// The waiter reacquires the monitor through its OpWait.
+			e.setState(e.threads[m.waitSet[i]], tsRunnable)
 		}
 		m.waitSet = m.waitSet[n:]
 		e.stats.Notifies++
@@ -495,7 +497,7 @@ func (e *Exec) stepThread(th *thread) error {
 
 	case OpCompute:
 		if e.cfg.Meter != nil {
-			e.cfg.Meter.ChargeN(e.cfg.Meter.Model().ComputeUnit, int64(op.Target))
+			e.cfg.Meter.ChargeN(e.model.ComputeUnit, int64(op.Target))
 		}
 		e.stats.ComputeUnits += uint64(op.Target)
 		top.pc++

@@ -42,6 +42,16 @@ type MethodID int32
 // transaction).
 const NoMethod MethodID = -1
 
+// Grow extends xs with zero values so index i is addressable. Thread and
+// object IDs are dense from zero, so per-ID state lives in slices grown this
+// way on first touch instead of in maps.
+func Grow[T any](xs []T, i int) []T {
+	if i < len(xs) {
+		return xs
+	}
+	return append(xs, make([]T, i+1-len(xs))...)
+}
+
 // OpKind enumerates the virtual machine's operations.
 type OpKind uint8
 

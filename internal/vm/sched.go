@@ -7,10 +7,12 @@ import (
 
 // Scheduler picks which runnable thread executes the next operation. The
 // runnable slice is always sorted by thread ID and non-empty; schedulers
-// must return one of its elements. Determinism contract: given the same
-// program and the same scheduler state, the executor produces the same
-// interleaving — checkers are passive, so the same seed exposes every
-// checker to the identical execution.
+// must return one of its elements. Next must not modify or retain runnable:
+// it is the executor's own list, kept across steps and updated in place when
+// a thread changes state. Determinism contract: given the same program and
+// the same scheduler state, the executor produces the same interleaving —
+// checkers are passive, so the same seed exposes every checker to the
+// identical execution.
 type Scheduler interface {
 	Next(runnable []ThreadID, step uint64) ThreadID
 }
