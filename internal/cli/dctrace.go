@@ -590,7 +590,7 @@ func dctraceFuzz(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	fs := flag.NewFlagSet("dctrace fuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		budget   = fs.Int("budget", 200, "number of (workload, scheduler, seed) triples to explore (0: the harness default, 60)")
+		budget   = fs.Int("budget", 200, "number of (workload, scheduler, seed) triples to explore")
 		seedBase = fs.Int64("seed", 1, "first schedule seed of the sweep")
 		reproDir = fs.String("repro-dir", "testdata/repros", "directory for shrunk failure repros (empty: do not write repros)")
 		tiny     = fs.Bool("tiny", true, "also exhaustively enumerate every interleaving of the tiny corpus")
@@ -602,8 +602,8 @@ func dctraceFuzz(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		fmt.Fprintln(stderr, "usage: dctrace fuzz [flags]")
 		return errUsage
 	}
-	if *budget < 0 {
-		fmt.Fprintf(stderr, "dctrace fuzz: -budget %d is negative\n", *budget)
+	if *budget <= 0 {
+		fmt.Fprintf(stderr, "dctrace fuzz: -budget %d is not positive\n", *budget)
 		return errUsage
 	}
 	failed := false

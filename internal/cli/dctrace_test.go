@@ -216,6 +216,7 @@ func TestDCTraceUsageErrors(t *testing.T) {
 		{"-workers", []string{"diff", "-workers", "-3", golden}},
 		{"-trace-timeout", []string{"diff", "-trace-timeout", "-1s", golden}},
 		{"-budget", []string{"fuzz", "-tiny=false", "-repro-dir", "", "-budget", "-1"}},
+		{"-budget", []string{"fuzz", "-tiny=false", "-repro-dir", "", "-budget", "0"}},
 	} {
 		var out, errb bytes.Buffer
 		if code := DCTrace(tc.args, &out, &errb); code != 2 {

@@ -95,8 +95,6 @@ type Config struct {
 	// Meter, if non-nil, accumulates modelled cost; required for
 	// performance experiments, optional for correctness runs.
 	Meter *cost.Meter
-	// ReplayOrder selects PCD's replay strategy (default BySeq).
-	ReplayOrder pcd.ReplayOrder
 	// InstrumentArrays enables array instrumentation with element
 	// conflation and disables cycle detection (§5.4; Velodrome analyses
 	// only — the base experiment excludes arrays everywhere).
@@ -394,7 +392,7 @@ func buildAnalysis(tspan obs.Span, prog *vm.Program, cfg Config, res *Result) (v
 			pcdMeter = offMeter
 		}
 		if logging {
-			p = pcd.NewChecker(pcdMeter, cfg.ReplayOrder)
+			p = pcd.NewChecker(pcdMeter, pcd.BySeq)
 			p.SetTelemetry(cfg.Telemetry)
 			p.SetTraceSpan(tspan)
 			if cfg.Analysis != PCDOnly {

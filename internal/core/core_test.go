@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"doublechecker/internal/cost"
-	"doublechecker/internal/pcd"
 	"doublechecker/internal/txn"
 	"doublechecker/internal/vm"
 )
@@ -317,27 +316,6 @@ func TestPropertyICDSoundFilter(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestPropertyReplayOrdersAgree: PCD's paper-faithful edge-constrained
-// replay must find violations exactly when the exact global-clock replay
-// does.
-func TestPropertyReplayOrdersAgree(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		prog, atomic := genProgram(seed)
-		bySeq, err := Run(prog, Config{Analysis: DCSingle, Seed: 1, Atomic: atomic, ReplayOrder: pcd.BySeq})
-		if err != nil {
-			t.Fatal(err)
-		}
-		byEdges, err := Run(prog, Config{Analysis: DCSingle, Seed: 1, Atomic: atomic, ReplayOrder: pcd.ByEdges})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (len(bySeq.Violations) > 0) != (len(byEdges.Violations) > 0) {
-			t.Errorf("seed %d: BySeq %d violations, ByEdges %d",
-				seed, len(bySeq.Violations), len(byEdges.Violations))
 		}
 	}
 }

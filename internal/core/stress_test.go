@@ -3,14 +3,12 @@ package core
 import (
 	"testing"
 
-	"doublechecker/internal/pcd"
 	"doublechecker/internal/workloads"
 )
 
-// TestStressReplayAndEquivalence runs the central cross-checker properties
+// TestStressReplayAndEquivalence runs the central cross-checker property
 // over hundreds of random programs: Velodrome and DoubleChecker single-run
-// agree on whether an interleaving has a violation, and PCD's two replay
-// orders agree with each other.
+// agree on whether an interleaving has a violation.
 func TestStressReplayAndEquivalence(t *testing.T) {
 	for seed := int64(100); seed < 600; seed++ {
 		prog, atomic := workloads.Random(seed)
@@ -18,24 +16,17 @@ func TestStressReplayAndEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bySeq, err := Run(prog, Config{Analysis: DCSingle, Seed: 1, Atomic: atomic, ReplayOrder: pcd.BySeq})
+		dc, err := Run(prog, Config{Analysis: DCSingle, Seed: 1, Atomic: atomic})
 		if err != nil {
 			t.Fatal(err)
 		}
-		byEdges, err := Run(prog, Config{Analysis: DCSingle, Seed: 1, Atomic: atomic, ReplayOrder: pcd.ByEdges})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (len(bySeq.Violations) > 0) != (len(byEdges.Violations) > 0) {
-			t.Errorf("seed %d: BySeq %d vs ByEdges %d", seed, len(bySeq.Violations), len(byEdges.Violations))
-		}
-		if (len(bySeq.Violations) > 0) != (len(velo.Violations) > 0) {
-			t.Errorf("seed %d: velo %d vs DC %d", seed, len(velo.Violations), len(bySeq.Violations))
+		if (len(dc.Violations) > 0) != (len(velo.Violations) > 0) {
+			t.Errorf("seed %d: velo %d vs DC %d", seed, len(velo.Violations), len(dc.Violations))
 		}
 	}
 }
 
-// TestStressRichPrograms runs the same properties over the rich generator,
+// TestStressRichPrograms runs the same property over the rich generator,
 // which exercises wait/notify, fork/join, nested ordered locks and arrays —
 // every dependence-edge source the checkers handle.
 func TestStressRichPrograms(t *testing.T) {
@@ -53,14 +44,6 @@ func TestStressRichPrograms(t *testing.T) {
 			if (len(velo.Violations) > 0) != (len(dc.Violations) > 0) {
 				t.Errorf("seed %d sched %d: velo %d vs dc %d violations",
 					seed, sched, len(velo.Violations), len(dc.Violations))
-			}
-			edges, err := Run(prog, Config{Analysis: DCSingle, Seed: sched, Atomic: atomic, ReplayOrder: pcd.ByEdges})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (len(dc.Violations) > 0) != (len(edges.Violations) > 0) {
-				t.Errorf("seed %d sched %d: BySeq %d vs ByEdges %d",
-					seed, sched, len(dc.Violations), len(edges.Violations))
 			}
 		}
 	}

@@ -133,49 +133,47 @@ func FuzzPCDProcess(f *testing.F) {
 	}
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, order := range []ReplayOrder{BySeq, ByEdges} {
-			created, groups := buildFuzzRun(data)
-			first, second := NewChecker(nil, order), NewChecker(nil, order)
-			for _, g := range groups {
-				first.Process(g)
-			}
-			for _, g := range groups {
-				second.Process(g)
-			}
+		created, groups := buildFuzzRun(data)
+		first, second := NewChecker(nil, BySeq), NewChecker(nil, BySeq)
+		for _, g := range groups {
+			first.Process(g)
+		}
+		for _, g := range groups {
+			second.Process(g)
+		}
 
-			fk, sk := violationKeys(first.Violations()), violationKeys(second.Violations())
-			if len(fk) != len(sk) {
-				t.Fatalf("order %v: first replay %d violations %v, second %d %v", order, len(fk), fk, len(sk), sk)
+		fk, sk := violationKeys(first.Violations()), violationKeys(second.Violations())
+		if len(fk) != len(sk) {
+			t.Fatalf("first replay %d violations %v, second %d %v", len(fk), fk, len(sk), sk)
+		}
+		for i := range fk {
+			if fk[i] != sk[i] {
+				t.Fatalf("violation %d: first %q second %q", i, fk[i], sk[i])
 			}
-			for i := range fk {
-				if fk[i] != sk[i] {
-					t.Fatalf("order %v: violation %d: first %q second %q", order, i, fk[i], sk[i])
-				}
-			}
-			if first.Stats() != second.Stats() {
-				t.Fatalf("order %v: stats first %+v second %+v", order, first.Stats(), second.Stats())
-			}
+		}
+		if first.Stats() != second.Stats() {
+			t.Fatalf("stats first %+v second %+v", first.Stats(), second.Stats())
+		}
 
-			// Process must match the map-based reference. The whole run goes
-			// first, as one large SCC, so that state a call leaves behind
-			// shows in the small groups after it.
-			p := newReplayPair(order)
-			p.process(t, orderName(order)+"/all", created)
-			for i, g := range groups {
-				p.process(t, fmt.Sprintf("%s/group %d", orderName(order), i), g)
-			}
+		// Process must match the map-based reference. The whole run goes
+		// first, as one large SCC, so that state a call leaves behind shows
+		// in the small groups after it.
+		p := newReplayPair()
+		p.process(t, "all", created)
+		for i, g := range groups {
+			p.process(t, fmt.Sprintf("group %d", i), g)
 		}
 	})
 }
 
-// TestPropertyOrdersAgreeOnAcyclicSCC: on fixtures whose true dependence
-// graph is acyclic within the reported SCC, both replay orders must agree
-// there is no violation, however badly the imprecise SCC over-approximated.
-// The fixtures run transactions strictly one at a time (begin → accesses →
-// end before the next begins), so every true dependence points forward in
-// time and the precise graph cannot have a cycle — yet the whole set is
-// reported as one SCC, cross edges and all.
-func TestPropertyOrdersAgreeOnAcyclicSCC(t *testing.T) {
+// TestPropertyAcyclicSCCFindsNothing: on fixtures whose true dependence
+// graph is acyclic within the reported SCC, replay must find no violation,
+// however badly the imprecise SCC over-approximated, and must match the
+// map-based reference. The fixtures run transactions strictly one at a time
+// (begin → accesses → end before the next begins), so every true dependence
+// points forward in time and the precise graph cannot have a cycle — yet
+// the whole set is reported as one SCC, cross edges and all.
+func TestPropertyAcyclicSCCFindsNothing(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := newEnv()
@@ -199,12 +197,10 @@ func TestPropertyOrdersAgreeOnAcyclicSCC(t *testing.T) {
 			}
 			e.end(th)
 		}
-		bySeq := NewChecker(nil, BySeq)
-		byEdges := NewChecker(nil, ByEdges)
-		vs, ve := bySeq.Process(all), byEdges.Process(all)
-		if len(vs) != 0 || len(ve) != 0 {
-			t.Errorf("seed %d: acyclic fixture produced violations: BySeq %d, ByEdges %d",
-				seed, len(vs), len(ve))
+		p := newReplayPair()
+		p.process(t, fmt.Sprintf("seed %d", seed), all)
+		if vs := p.got.Violations(); len(vs) != 0 {
+			t.Errorf("seed %d: acyclic fixture produced %d violations", seed, len(vs))
 		}
 	}
 }

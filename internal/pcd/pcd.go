@@ -2,8 +2,7 @@
 // (paper §3.3).
 //
 // PCD is not a standalone dynamic analysis: it consumes, for each SCC that
-// ICD reports, (1) the set of transactions, (2) their read/write logs, and
-// (3) the cross-thread IDG edges recorded relative to log entries. It
+// ICD reports, the set of transactions and their read/write logs. It
 // "replays" that slice of the execution, rebuilding precise per-field
 // last-access information — W(f), the last transaction to write f, and
 // R(T,f), the last transaction of each thread T to read f — and adds
@@ -12,19 +11,17 @@
 // serializability violation; blame assignment (§3.3) marks the
 // transaction(s) that completed each cycle.
 //
-// Two replay orders are implemented. ReplayBySeq uses the VM's global access
-// clock, which is exact. ReplayByEdges reconstructs an order purely from the
-// per-transaction log order plus the edge-relative positions ICD recorded —
-// what the paper's implementation must do, since a JVM has no global access
-// clock. Both orders are consistent with the actual execution, so they find
-// the same cycles; a property test asserts that.
+// Replay follows the VM's global access clock: every log entry carries the
+// Seq at which its access ran, so the order is exact. The paper's
+// implementation has no such clock on a JVM and rebuilds the order from
+// special log entries for cross-thread edges (§3.2.4); the cost model still
+// charges for those entries (package txn), but nothing here reads them.
 package pcd
 
 import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"doublechecker/internal/cost"
@@ -35,16 +32,16 @@ import (
 	"doublechecker/internal/vm"
 )
 
-// ReplayOrder selects how PCD linearizes the SCC's log entries.
+// ReplayOrder once selected how PCD linearized an SCC's log entries.
+//
+// Deprecated: PCD always replays in Seq order, and NewChecker ignores its
+// ReplayOrder.
 type ReplayOrder int
 
-const (
-	// BySeq replays in global access-clock order (exact).
-	BySeq ReplayOrder = iota
-	// ByEdges replays in an order reconstructed from log positions and
-	// edge-relative coordinates (paper-faithful).
-	ByEdges
-)
+// BySeq is global access-clock order, the only replay order.
+//
+// Deprecated: see ReplayOrder.
+const BySeq ReplayOrder = 0
 
 // Stats counts PCD activity.
 type Stats struct {
@@ -72,7 +69,6 @@ type tel struct {
 // accumulates precise violations.
 type Checker struct {
 	meter *cost.Meter
-	order ReplayOrder
 	// The meter's PCD unit prices, read once (zero without a meter).
 	perEntry, perEdge, perCycleNode cost.Units
 
@@ -88,17 +84,15 @@ type Checker struct {
 	// Replay working state. Process fills it and empties it again on
 	// return, keeping the capacity, so a stream of SCCs replays without
 	// rebuilding maps and slices per call.
-	scc        []*txn.Txn         // the SCC being replayed
-	replaySpan obs.Span           // trace handle of its pcd.replay span
-	found      []txn.Violation    // violations new in this call
-	runs       []member           // BySeq: members with a log, by thread, then ID
-	heads      []head             // BySeq: one merge head per thread run
-	entries    []entryRef         // ByEdges: the SCC's log entries in replay order
-	members    map[*txn.Txn]int32 // ByEdges: SCC member -> position
-	fieldIx    map[uint64]int32   // fieldKey -> index into fields
-	fields     []fieldState       // last-access state per field, by index
-	segs       []segState         // current segment per SCC member, by position
-	chains     []int32            // latest replayed node per thread ID, or -1
+	scc        []*txn.Txn       // the SCC being replayed
+	replaySpan obs.Span         // trace handle of its pcd.replay span
+	found      []txn.Violation  // violations new in this call
+	runs       []member         // members with a log, by thread, then ID
+	heads      []head           // one merge head per thread run
+	fieldIx    map[uint64]int32 // fieldKey -> index into fields
+	fields     []fieldState     // last-access state per field, by index
+	segs       []segState       // current segment per SCC member, by position
+	chains     []int32          // latest replayed node per thread ID, or -1
 	g          pdg
 	search     graph.PathSearch
 	succ       graph.SuccFunc[int32] // PDG successors, charging PCDCycleNode
@@ -137,15 +131,13 @@ func (c *Checker) tempAlloc(n int64) {
 	}
 }
 
-// NewChecker returns a PCD checker using the given replay order; meter may
-// be nil.
-func NewChecker(meter *cost.Meter, order ReplayOrder) *Checker {
+// NewChecker returns a PCD checker; meter may be nil. The ReplayOrder is
+// ignored (see its deprecation note).
+func NewChecker(meter *cost.Meter, _ ReplayOrder) *Checker {
 	c := &Checker{
 		meter:    meter,
-		order:    order,
 		seen:     make(map[string]bool),
 		seenTxns: make(map[uint64]struct{}),
-		members:  make(map[*txn.Txn]int32),
 		fieldIx:  make(map[uint64]int32),
 		g:        pdg{edges: make(map[uint64]uint64)},
 	}
@@ -170,13 +162,6 @@ func (c *Checker) charge(u cost.Units) {
 	if c.meter != nil {
 		c.meter.Charge(u)
 	}
-}
-
-// entryRef locates one log entry in a ByEdges replay order.
-type entryRef struct {
-	tx  *txn.Txn
-	idx int32 // position in tx.Log
-	mem int32 // tx's position in the SCC
 }
 
 // fieldKey is PCD's per-field metadata key: the object, the field, and
@@ -339,22 +324,11 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	// above all the PCD-only straw man's whole-execution replay — this heap
 	// spike is what drives GC cost and the out-of-memory failures. The
 	// meter charges them per call even though this Checker reuses its
-	// memory across calls, and BySeq merges without building the list;
-	// they are released when Process returns.
+	// memory across calls, and the merge builds no entry list; they are
+	// released when Process returns.
 	c.tempAlloc(24 * int64(entries))
 
-	switch c.order {
-	case ByEdges:
-		for i, tx := range scc {
-			c.members[tx] = int32(i)
-		}
-		c.entries = orderByEdges(c.entries, scc, c.members)
-		for _, ref := range c.entries {
-			c.replayEntry(ref.mem, &ref.tx.Log[ref.idx])
-		}
-	default:
-		c.replayBySeq()
-	}
+	c.replayBySeq()
 	if c.tel != nil {
 		c.tel.entries.Add(uint64(entries))
 		// The live per-field metadata at end of replay: the fields with W(f)
@@ -436,14 +410,14 @@ func (c *Checker) replayEntry(m int32, e *txn.LogEntry) {
 	st.count++
 }
 
-// member is one SCC member in a BySeq merge.
+// member is one SCC member in the replay merge.
 type member struct {
 	th  vm.ThreadID
 	pos int32 // position in the SCC
 	id  uint64
 }
 
-// head is one thread's run in a BySeq merge: runs[k:end] are the thread's
+// head is one thread's run in the replay merge: runs[k:end] are the thread's
 // members in ID order, and entry i of runs[k]'s log, at clock seq, is the
 // next to replay.
 type head struct {
@@ -537,9 +511,6 @@ func (c *Checker) release() {
 	c.scc, c.replaySpan, c.found = nil, obs.Span{}, nil
 	c.runs = c.runs[:0]
 	c.heads = c.heads[:0]
-	clear(c.entries)
-	c.entries = c.entries[:0]
-	clear(c.members)
 	clear(c.fieldIx)
 	c.fields = c.fields[:0]
 	c.segs = c.segs[:0]
@@ -605,147 +576,4 @@ func (c *Checker) cycleKey(path []int32) []byte {
 	}
 	c.keyIDs, c.key = ids, key
 	return key
-}
-
-// orderByEdges reconstructs a replay order from the §3.2.4 machinery: each
-// transaction's log with its special edge-mark entries, plus per-thread
-// program order between transactions.
-//
-// Marks carry a globally ordered creation stamp. This is legitimate
-// run-time information (not a replay-side oracle): an IDG edge is created
-// on an already-synchronized Octet slow path, so stamping it from a global
-// counter costs nothing — the same trick Octet itself uses for gRdShCnt.
-//
-// A mark on a transaction of thread T at stamp s is evidence that T had, by
-// stamp s, executed everything that precedes the mark: the mark's own
-// transaction's log prefix, and all of T's earlier transactions. The replay
-// therefore processes marks in stamp order and flushes those prefixes
-// before each one. The SCC's own marks are not always enough — a
-// happens-before chain between two SCC accesses can run through
-// transactions outside the reported SCC (ones unfinished at detection
-// time, say) — so ordering anchors are pulled transitively through the
-// recorded edge structure: every mark names its peer transaction, whose own
-// marks are further evidence. Entries after a thread's last anchor follow
-// in a deterministic tail.
-func orderByEdges(refs []entryRef, scc []*txn.Txn, members map[*txn.Txn]int32) []entryRef {
-	// Pull the anchor set: SCC transactions plus everything reachable
-	// through mark peers (bounded — real chains are short; the cap only
-	// guards pathological graphs).
-	const maxAnchors = 1 << 16
-	anchors := make(map[*txn.Txn]bool, len(scc))
-	queue := append([]*txn.Txn(nil), scc...)
-	for _, tx := range scc {
-		anchors[tx] = true
-	}
-	for len(queue) > 0 && len(anchors) < maxAnchors {
-		tx := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, mk := range tx.Marks {
-			if mk.Other != nil && !anchors[mk.Other] {
-				anchors[mk.Other] = true
-				queue = append(queue, mk.Other)
-			}
-		}
-	}
-
-	// Per-thread program-order chains over SCC members. Same-thread
-	// transactions are created in program order, so IDs order them strictly
-	// (StartSeq can tie when a retirement and a successor share one clock
-	// tick).
-	byThread := make(map[vm.ThreadID][]*txn.Txn)
-	for _, tx := range scc {
-		byThread[tx.Thread] = append(byThread[tx.Thread], tx)
-	}
-	prevOf := make(map[*txn.Txn]*txn.Txn)
-	for _, txs := range byThread {
-		sort.Slice(txs, func(i, j int) bool { return txs[i].ID < txs[j].ID })
-		for i := 1; i < len(txs); i++ {
-			prevOf[txs[i]] = txs[i-1]
-		}
-	}
-
-	emitted := make(map[*txn.Txn]int, len(scc))
-
-	// flushTo emits tx's entries with index < cut (and first, everything in
-	// tx's same-thread SCC predecessors).
-	var flushTo func(tx *txn.Txn, cut int)
-	flushTo = func(tx *txn.Txn, cut int) {
-		if prev := prevOf[tx]; prev != nil {
-			flushTo(prev, len(prev.Log))
-		}
-		mem := members[tx]
-		for i := emitted[tx]; i < cut; i++ {
-			refs = append(refs, entryRef{tx: tx, idx: int32(i), mem: mem})
-		}
-		if cut > emitted[tx] {
-			emitted[tx] = cut
-		}
-	}
-
-	// flushThreadBefore flushes, fully, every SCC transaction of th with
-	// ID < beforeID: a mark on a later transaction of th proves they are
-	// all in the past.
-	flushThreadBefore := func(th vm.ThreadID, beforeID uint64) {
-		txs := byThread[th]
-		for i := len(txs) - 1; i >= 0; i-- {
-			if txs[i].ID < beforeID {
-				flushTo(txs[i], len(txs[i].Log))
-				return // flushTo covers the predecessors
-			}
-		}
-	}
-
-	// Global anchor sequence. For equal stamps (several edges from one
-	// barrier), out-marks flush before in-marks so a dependence's source
-	// side is emitted first.
-	type gmark struct {
-		tx  *txn.Txn
-		cut int // entries of tx preceding the mark (SCC members only)
-		seq uint64
-		in  bool
-	}
-	var marks []gmark
-	for tx := range anchors {
-		li := 0
-		_, member := members[tx]
-		for _, mk := range tx.Marks {
-			cut := 0
-			if member {
-				// Entries strictly before the mark; an equal-Seq entry
-				// comes after it (the barrier fires before the access is
-				// logged).
-				for li < len(tx.Log) && tx.Log[li].Seq < mk.Seq {
-					li++
-				}
-				cut = li
-			}
-			marks = append(marks, gmark{tx: tx, cut: cut, seq: mk.Seq, in: mk.In})
-		}
-	}
-	sort.Slice(marks, func(i, j int) bool {
-		if marks[i].seq != marks[j].seq {
-			return marks[i].seq < marks[j].seq
-		}
-		if marks[i].in != marks[j].in {
-			return !marks[i].in // out-marks first
-		}
-		return marks[i].tx.ID < marks[j].tx.ID
-	})
-	for _, m := range marks {
-		flushThreadBefore(m.tx.Thread, m.tx.ID)
-		if _, ok := members[m.tx]; ok {
-			flushTo(m.tx, m.cut)
-		}
-	}
-
-	// Deterministic tail: remaining entries per thread, in ID order.
-	tail := make([]*txn.Txn, 0, len(byThread))
-	for _, txs := range byThread {
-		tail = append(tail, txs[len(txs)-1])
-	}
-	sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
-	for _, tx := range tail {
-		flushTo(tx, len(tx.Log))
-	}
-	return refs
 }

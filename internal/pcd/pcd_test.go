@@ -28,40 +28,38 @@ func (e *env) access(t vm.ThreadID, obj vm.ObjectID, f vm.FieldID, write bool) {
 	e.mgr.Record(t, obj, f, write, false, e.now)
 }
 
-// edge mimics an ICD-recorded IDG edge with occurrence coordinates.
+// edge mimics the IDG edge ICD records at a cross-thread access.
 func (e *env) edge(src, dst *txn.Txn) { e.mgr.AddCrossEdge(src, dst) }
 
 // TestTwoTxnCycle replays the canonical racy increment: A and B both read
 // then write the same field, interleaved rdA rdB wrB wrA.
 func TestTwoTxnCycle(t *testing.T) {
-	for _, order := range []ReplayOrder{BySeq, ByEdges} {
-		e := newEnv()
-		a := e.begin(0, 1)
-		b := e.begin(1, 2)
-		e.access(0, 9, 0, false) // A rd x
-		e.access(1, 9, 0, false) // B rd x
-		e.edge(a, b)             // IDG edge at B's write (A read before)
-		e.access(1, 9, 0, true)  // B wr x
-		e.end(1)
-		e.edge(b, a)            // IDG edge at A's write
-		e.access(0, 9, 0, true) // A wr x
-		e.end(0)
+	e := newEnv()
+	a := e.begin(0, 1)
+	b := e.begin(1, 2)
+	e.access(0, 9, 0, false) // A rd x
+	e.access(1, 9, 0, false) // B rd x
+	e.edge(a, b)             // IDG edge at B's write (A read before)
+	e.access(1, 9, 0, true)  // B wr x
+	e.end(1)
+	e.edge(b, a)            // IDG edge at A's write
+	e.access(0, 9, 0, true) // A wr x
+	e.end(0)
 
-		c := NewChecker(nil, order)
-		found := c.Process([]*txn.Txn{a, b})
-		if len(found) != 1 {
-			t.Fatalf("order %v: found %d violations, want 1", order, len(found))
-		}
-		v := found[0]
-		if len(v.Cycle) != 2 {
-			t.Errorf("order %v: cycle size %d, want 2", order, len(v.Cycle))
-		}
-		if len(v.Blamed) != 1 || v.Blamed[0] != a {
-			t.Errorf("order %v: blamed %v, want [A] (its outgoing edge came first)", order, v.Blamed)
-		}
-		if len(v.BlamedMethods) != 1 || v.BlamedMethods[0] != 1 {
-			t.Errorf("order %v: blamed methods %v", order, v.BlamedMethods)
-		}
+	c := NewChecker(nil, BySeq)
+	found := c.Process([]*txn.Txn{a, b})
+	if len(found) != 1 {
+		t.Fatalf("found %d violations, want 1", len(found))
+	}
+	v := found[0]
+	if len(v.Cycle) != 2 {
+		t.Errorf("cycle size %d, want 2", len(v.Cycle))
+	}
+	if len(v.Blamed) != 1 || v.Blamed[0] != a {
+		t.Errorf("blamed %v, want [A] (its outgoing edge came first)", v.Blamed)
+	}
+	if len(v.BlamedMethods) != 1 || v.BlamedMethods[0] != 1 {
+		t.Errorf("blamed methods %v", v.BlamedMethods)
 	}
 }
 
@@ -116,29 +114,27 @@ func TestPreciseCycleWhenFieldsMatch(t *testing.T) {
 // precise cycle B -> A1 -> A2 -> B needs the intra-thread program-order
 // edge A1 -> A2.
 func TestIntraThreadEdgeCycle(t *testing.T) {
-	for _, order := range []ReplayOrder{BySeq, ByEdges} {
-		e := newEnv()
-		b := e.begin(1, 2)
-		e.access(1, 7, 0, true) // B wr w
-		a1 := e.begin(0, 1)
-		e.edge(b, a1)
-		e.access(0, 7, 0, false) // A1 rd w  (dep B -> A1)
-		e.end(0)
-		a2 := e.begin(0, 3)
-		e.access(0, 8, 0, true) // A2 wr z
-		e.end(0)
-		e.edge(a2, b)
-		e.access(1, 8, 0, false) // B rd z  (dep A2 -> B)
-		e.end(1)
+	e := newEnv()
+	b := e.begin(1, 2)
+	e.access(1, 7, 0, true) // B wr w
+	a1 := e.begin(0, 1)
+	e.edge(b, a1)
+	e.access(0, 7, 0, false) // A1 rd w  (dep B -> A1)
+	e.end(0)
+	a2 := e.begin(0, 3)
+	e.access(0, 8, 0, true) // A2 wr z
+	e.end(0)
+	e.edge(a2, b)
+	e.access(1, 8, 0, false) // B rd z  (dep A2 -> B)
+	e.end(1)
 
-		c := NewChecker(nil, order)
-		found := c.Process([]*txn.Txn{a1, a2, b})
-		if len(found) != 1 {
-			t.Fatalf("order %v: found %d, want 1 (cycle through intra edge)", order, len(found))
-		}
-		if got := len(found[0].Cycle); got != 3 {
-			t.Errorf("order %v: cycle size %d, want 3", order, got)
-		}
+	c := NewChecker(nil, BySeq)
+	found := c.Process([]*txn.Txn{a1, a2, b})
+	if len(found) != 1 {
+		t.Fatalf("found %d, want 1 (cycle through intra edge)", len(found))
+	}
+	if got := len(found[0].Cycle); got != 3 {
+		t.Errorf("cycle size %d, want 3", got)
 	}
 }
 
@@ -243,31 +239,41 @@ func TestEmptySCCLogs(t *testing.T) {
 	b := e.begin(1, 2)
 	e.end(0)
 	e.end(1)
-	c := NewChecker(nil, ByEdges)
+	c := NewChecker(nil, BySeq)
 	if found := c.Process([]*txn.Txn{a, b}); len(found) != 0 {
 		t.Errorf("empty logs produced violations: %v", found)
 	}
 }
 
-// TestByEdgesOrderRespectsConstraints: with edge occurrences recorded, the
-// ByEdges replay must order the dependence correctly even though the source
-// transaction has a larger ID and would otherwise be scanned later.
-func TestByEdgesOrderRespectsConstraints(t *testing.T) {
+// TestReplayOrdersHigherIDSourceFirst: the dependence's source a runs on
+// another thread than its sink b and has the higher ID, yet accesses first.
+// Replay must put a's write before b's read, in whichever order the members
+// are handed over. A later write by b that a reads back closes the cycle
+// a -> b -> a, which only that order finds: replaying b's log before a's
+// turns both dependences into edges b -> a.
+func TestReplayOrdersHigherIDSourceFirst(t *testing.T) {
 	e := newEnv()
-	// b created FIRST so a has the higher ID (scan order would pick a
-	// first without constraints).
+	// b is created first, so a has the higher ID.
 	b := e.begin(1, 2)
 	a := e.begin(0, 1)
 	e.access(0, 9, 0, true)  // a wr x (comes first in time)
 	e.edge(a, b)             // recorded at b's read
 	e.access(1, 9, 0, false) // b rd x
+	e.access(1, 8, 0, true)  // b wr y
+	e.edge(b, a)             // recorded at a's read
+	e.access(0, 8, 0, false) // a rd y
 	e.end(0)
 	e.end(1)
 
-	c := NewChecker(nil, ByEdges)
-	c.Process([]*txn.Txn{a, b})
-	if c.Stats().PDGEdges != 1 {
-		t.Errorf("dependence a->b must be reconstructed, got %d edges", c.Stats().PDGEdges)
+	for _, scc := range [][]*txn.Txn{{a, b}, {b, a}} {
+		c := NewChecker(nil, BySeq)
+		found := c.Process(scc)
+		if c.Stats().PDGEdges != 2 {
+			t.Errorf("members %v: %d PDG edges, want 2 (a->b on x, b->a on y)", scc, c.Stats().PDGEdges)
+		}
+		if len(found) != 1 || len(found[0].Cycle) != 2 {
+			t.Errorf("members %v: found %v, want the one cycle a -> b -> a", scc, found)
+		}
 	}
 }
 

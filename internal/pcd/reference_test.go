@@ -24,12 +24,11 @@ import (
 
 // This file keeps the map-based replay that Process used before its working
 // state became dense and reused across calls. refProcess rebuilds every map
-// per call, sorts the entries for BySeq, and searches with graph.FindPath.
-// Its logic is the earlier code's; only names, comments, the member map
-// handed to the shared orderByEdges, and the pointer-keyed types kept here
-// under ref names changed. It is the reference Process must match on every
-// SCC: violations, Stats, metered cost and the pcd.field_map.size
-// observation.
+// per call, sorts the entries by Seq, and searches with graph.FindPath. Its
+// logic is the earlier code's; only names, comments, and the pointer-keyed
+// types kept here under ref names changed. It is the reference Process must
+// match on every SCC: violations, Stats, metered cost and the
+// pcd.field_map.size observation.
 
 // refFieldKey is the per-field metadata key of the map-based replay.
 type refFieldKey struct {
@@ -67,9 +66,7 @@ func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
 		c.tel.txns.Add(uint64(len(scc)))
 	}
 
-	inSCC := make(map[*txn.Txn]int32, len(scc))
-	for i, tx := range scc {
-		inSCC[tx] = int32(i)
+	for _, tx := range scc {
 		if _, ok := c.seenTxns[tx.ID]; !ok {
 			c.seenTxns[tx.ID] = struct{}{}
 			c.stats.DistinctTxns++
@@ -79,13 +76,7 @@ func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
 		}
 	}
 
-	var entries []entryRef
-	switch c.order {
-	case ByEdges:
-		entries = orderByEdges(nil, scc, inSCC)
-	default:
-		entries = refOrderBySeq(scc)
-	}
+	entries := refOrderBySeq(scc)
 
 	c.tempBytes = 0
 	defer func() {
@@ -284,6 +275,12 @@ func sortedThreads(m map[vm.ThreadID]*txn.Txn) []vm.ThreadID {
 	return ts
 }
 
+// entryRef locates one log entry.
+type entryRef struct {
+	tx  *txn.Txn
+	idx int32 // position in tx.Log
+}
+
 // refOrderBySeq sorts all log entries of the SCC by the global access clock.
 func refOrderBySeq(scc []*txn.Txn) []entryRef {
 	var refs []entryRef
@@ -305,10 +302,10 @@ type replayPair struct {
 	gotReg, wantReg *telemetry.Registry
 }
 
-func newReplayPair(order ReplayOrder) *replayPair {
+func newReplayPair() *replayPair {
 	p := &replayPair{
-		got:     NewChecker(cost.NewMeter(cost.Default()), order),
-		want:    NewChecker(cost.NewMeter(cost.Default()), order),
+		got:     NewChecker(cost.NewMeter(cost.Default()), BySeq),
+		want:    NewChecker(cost.NewMeter(cost.Default()), BySeq),
 		gotReg:  telemetry.NewRegistry(),
 		wantReg: telemetry.NewRegistry(),
 	}
@@ -342,39 +339,36 @@ func (p *replayPair) process(t testing.TB, label string, scc []*txn.Txn) {
 
 // TestReplayMatchesReference replays every golden trace through a logging
 // ICD checker whose OnSCC hook hands each SCC to Process and to the
-// map-based reference, under both replay orders.
+// map-based reference.
 func TestReplayMatchesReference(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/traces/*.dct")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("golden corpus not found: %v (%d files)", err, len(paths))
 	}
-	for _, order := range []ReplayOrder{BySeq, ByEdges} {
-		sccs, violations := 0, 0
-		for _, path := range paths {
-			name := strings.TrimSuffix(filepath.Base(path), ".dct")
-			d, err := trace.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := newReplayPair(order)
-			n := 0
-			ic := icd.NewChecker(d.Header.Program, nil, icd.Options{
-				Logging: true,
-				OnSCC: func(scc []*txn.Txn) {
-					n++
-					p.process(t, fmt.Sprintf("%s/%s/scc %d", name, orderName(order), n), scc)
-				},
-			})
-			if err := trace.Replay(context.Background(), d, ic); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sccs += n
-			violations += len(p.got.Violations())
+	sccs, violations := 0, 0
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".dct")
+		d, err := trace.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sccs == 0 || violations == 0 {
-			t.Fatalf("%s: %d SCCs and %d violations over the corpus; the check is vacuous",
-				orderName(order), sccs, violations)
+		p := newReplayPair()
+		n := 0
+		ic := icd.NewChecker(d.Header.Program, nil, icd.Options{
+			Logging: true,
+			OnSCC: func(scc []*txn.Txn) {
+				n++
+				p.process(t, fmt.Sprintf("%s/scc %d", name, n), scc)
+			},
+		})
+		if err := trace.Replay(context.Background(), d, ic); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		sccs += n
+		violations += len(p.got.Violations())
+	}
+	if sccs == 0 || violations == 0 {
+		t.Fatalf("%d SCCs and %d violations over the corpus; the check is vacuous", sccs, violations)
 	}
 }
 
@@ -439,7 +433,7 @@ func TestBySeqMergesUnsortedMembers(t *testing.T) {
 		})
 		shuffled := slices.Clone(all)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		p := newReplayPair(BySeq)
+		p := newReplayPair()
 		for _, scc := range []struct {
 			name    string
 			members []*txn.Txn
@@ -455,11 +449,4 @@ func TestBySeqMergesUnsortedMembers(t *testing.T) {
 	if violations == 0 {
 		t.Fatal("no SCC had a violation; the check is vacuous")
 	}
-}
-
-func orderName(o ReplayOrder) string {
-	if o == ByEdges {
-		return "by-edges"
-	}
-	return "by-seq"
 }

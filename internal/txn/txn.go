@@ -15,7 +15,8 @@ import (
 )
 
 // Modelled sizes (bytes) for the memory accounting that drives the GC cost
-// model: a transaction object, one log entry, one edge.
+// model: a transaction object, one log entry, one edge, and one special log
+// entry for an edge occurrence.
 const (
 	txnBytes   = 96
 	entryBytes = 16
@@ -53,10 +54,9 @@ type Txn struct {
 	// Log is the transaction's ordered read/write log (only when the
 	// manager logs). Seq values are the VM's global access sequence.
 	Log []LogEntry
-	// Marks are the edge-occurrence log entries (only when logging).
-	Marks []Mark
 
 	accesses    int  // accesses recorded (independent of log elision)
+	occs        int  // logged cross-edge occurrences at this endpoint (metered, not stored)
 	interrupted bool // a cross-thread edge touched this (unary) transaction
 	marked      bool // GC scratch
 	dead        bool
@@ -112,28 +112,11 @@ func (t *Txn) Interrupted() bool { return t.interrupted }
 func (t *Txn) FinishedInEdge() bool { return t.finIn }
 
 // Edge is a dependence edge between two transactions. Multiple dynamic
-// dependences between the same pair share one Edge; when logging is
-// enabled, each occurrence additionally leaves a pair of Marks in the two
-// transactions' logs (paper §3.2.4: "The read/write log has special entries
-// that correspond to incoming and outgoing cross-thread edges").
+// dependences between the same pair share one Edge.
 type Edge struct {
 	Src, Dst *Txn
 	Cross    bool   // false for intra-thread program-order edges
 	Order    uint64 // creation order of the first occurrence (blame assignment)
-}
-
-// Mark is an edge occurrence's "special log entry". A mark's position among
-// its transaction's log entries is given by Seq (entries and marks of one
-// transaction are totally ordered by Seq, with marks sorting before an
-// equal-Seq entry because the barrier fires before the access is logged).
-// The in-mark and its matching out-mark share the same Seq, which is how
-// PCD's edge-based replay pairs them without any global clock semantics:
-// Seq is only ever compared within a transaction or between a paired
-// in/out mark.
-type Mark struct {
-	In    bool // incoming edge mark (sink side) vs outgoing (source side)
-	Other *Txn // the peer transaction
-	Seq   uint64
 }
 
 // LogEntry is one recorded access.
@@ -482,12 +465,14 @@ func (m *Manager) addIntraEdge(src, dst *Txn) {
 	}
 }
 
-// AddCrossEdge records a cross-thread dependence edge src -> dst. When
-// logging, the occurrence is annotated with the current log lengths of both
-// transactions, which tells PCD where in each log the dependence fell. The
-// edge interrupts unary merging on both endpoint threads and bumps their
-// elision timestamps. Self edges (src == dst) are ignored. It returns the
-// Edge (nil for self edges).
+// AddCrossEdge records a cross-thread dependence edge src -> dst. The edge
+// interrupts unary merging on both endpoint threads and bumps their elision
+// timestamps. When logging, the occurrence is metered as the paper's two
+// special log entries, one in each endpoint's log (§3.2.4: "The read/write
+// log has special entries that correspond to incoming and outgoing
+// cross-thread edges"), though none is stored: PCD replays by the entries'
+// Seq and never reads them. Self edges (src == dst) are ignored. It returns
+// the Edge (nil for self edges).
 func (m *Manager) AddCrossEdge(src, dst *Txn) *Edge {
 	if src == nil || dst == nil || src == dst {
 		return nil
@@ -508,9 +493,8 @@ func (m *Manager) AddCrossEdge(src, dst *Txn) *Edge {
 		m.alloc(edgeBytes)
 	}
 	if m.logging {
-		seq := m.clock()
-		src.Marks = append(src.Marks, Mark{In: false, Other: dst, Seq: seq})
-		dst.Marks = append(dst.Marks, Mark{In: true, Other: src, Seq: seq})
+		src.occs++
+		dst.occs++
 		m.alloc(2 * occBytes)
 	}
 	return e
@@ -650,10 +634,9 @@ func (m *Manager) Collect(extraRoots []*Txn) int {
 			m.meter.Free(txnBytes +
 				entryBytes*int64(len(tx.Log)) +
 				edgeBytes*int64(len(tx.Out)) +
-				occBytes*int64(len(tx.Marks)))
+				occBytes*int64(tx.occs))
 		}
 		tx.Log = nil
-		tx.Marks = nil
 		tx.succ = nil
 		if m.recycle {
 			// Components die whole (mutual reachability), so nothing live

@@ -59,17 +59,66 @@ func TestEdgeSourceSemantics(t *testing.T) {
 	}
 }
 
-func TestMarksOnlyWhenLogging(t *testing.T) {
-	m := newMgr(false)
-	a := m.BeginRegular(0, 1)
-	b := m.BeginRegular(1, 2)
-	m.AddCrossEdge(a, b)
-	if len(a.Marks)+len(b.Marks) != 0 {
-		t.Error("marks must not be recorded without logging")
+// TestEdgeOccurrenceBytesExact: a logging manager meters each cross-edge
+// occurrence as two special log entries, occBytes each, repeats on a
+// deduplicated edge included, and a sweep frees each endpoint's share
+// exactly; a manager that does not log meters none.
+func TestEdgeOccurrenceBytesExact(t *testing.T) {
+	for _, logging := range []bool{true, false} {
+		model := cost.Default()
+		model.GCTriggerBytes = 0
+		meter := cost.NewMeter(model)
+		m := NewManager(logging, nil, meter)
+		a := m.BeginRegular(0, 1)
+		b := m.BeginRegular(1, 2)
+		var occ int64 // bytes per occurrence at each endpoint
+		if logging {
+			occ = occBytes
+		}
+		const n = 3
+		for i := 0; i < n; i++ {
+			want := 2 * occ
+			if i == 0 {
+				want += edgeBytes
+			}
+			before := meter.LiveBytes()
+			m.AddCrossEdge(a, b)
+			if got := meter.LiveBytes() - before; got != want {
+				t.Errorf("logging %v, occurrence %d: %d bytes metered, want %d", logging, i, got, want)
+			}
+		}
+
+		// Retire a alone: thread 1 keeps b current, so only a is swept. a
+		// owns the cross edge and the program-order edge to its successor.
+		m.EndRegular(0)
+		m.BeginRegular(0, 3)
+		before := meter.LiveBytes()
+		if swept := m.Collect(nil); swept != 1 {
+			t.Fatalf("logging %v: swept %d, want a alone", logging, swept)
+		}
+		if got, want := before-meter.LiveBytes(), txnBytes+2*edgeBytes+n*occ; got != want {
+			t.Errorf("logging %v: sweeping the source freed %d bytes, want %d", logging, got, want)
+		}
+		// Then b, which owns only its program-order edge.
+		m.EndRegular(1)
+		m.BeginRegular(1, 4)
+		before = meter.LiveBytes()
+		if swept := m.Collect(nil); swept != 1 {
+			t.Fatalf("logging %v: swept %d, want b alone", logging, swept)
+		}
+		if got, want := before-meter.LiveBytes(), txnBytes+edgeBytes+n*occ; got != want {
+			t.Errorf("logging %v: sweeping the sink freed %d bytes, want %d", logging, got, want)
+		}
+		if got, want := meter.LiveBytes(), int64(2*txnBytes); got != want {
+			t.Errorf("logging %v: %d live bytes left, want the two current transactions' %d", logging, got, want)
+		}
 	}
 }
 
-func TestSweepFreesMarkBytes(t *testing.T) {
+// TestSweepFreesOccurrenceBytes: a sweep frees the bytes metered for a
+// logged edge's occurrences along with the logs and edges, leaving exactly
+// the transactions still current.
+func TestSweepFreesOccurrenceBytes(t *testing.T) {
 	model := cost.Default()
 	model.GCTriggerBytes = 0
 	meter := cost.NewMeter(model)
@@ -78,27 +127,19 @@ func TestSweepFreesMarkBytes(t *testing.T) {
 	b := m.BeginRegular(1, 2)
 	for i := 0; i < 50; i++ {
 		m.Record(1, 5, 0, true, false, uint64(10+i)) // advance b's log
-		m.AddCrossEdge(a, b)                         // occurrence -> mark pair
+		m.AddCrossEdge(a, b)                         // occurrence: two modelled entries
 	}
 	m.EndRegular(0)
 	m.EndRegular(1)
 	m.BeginRegular(0, 3)
 	m.BeginRegular(1, 3)
-	// a and b are unreachable except... b is reachable from a via edges?
-	// a -> b exists; a is not a root; both get swept.
-	before := meter.LiveBytes()
-	swept := m.Collect(nil)
-	if swept < 2 {
-		t.Fatalf("swept = %d, want at least a and b", swept)
+	// a and b each have only an outgoing program-order edge to their
+	// thread's new current transaction, and nothing reaches them.
+	if swept := m.Collect(nil); swept != 2 {
+		t.Fatalf("swept = %d, want a and b", swept)
 	}
-	if meter.LiveBytes() >= before {
-		t.Error("sweep must free bytes")
-	}
-	// The mark bytes specifically: 50 occurrences * 2 marks * 8 bytes were
-	// allocated; after the sweep the remaining live bytes must be far below
-	// the mark volume (only the two fresh regulars remain).
-	if meter.LiveBytes() > 4*96+64 {
-		t.Errorf("live bytes %d suggest marks were not freed", meter.LiveBytes())
+	if got, want := meter.LiveBytes(), int64(2*txnBytes); got != want {
+		t.Errorf("live bytes %d after the sweep, want the two current transactions' %d", got, want)
 	}
 }
 

@@ -74,6 +74,8 @@ func TestRegularNotInterruptedByEdges(t *testing.T) {
 	}
 }
 
+// TestEdgeDedupAndMarks: two occurrences of one dependence share an Edge,
+// and each endpoint counts both as modelled special log entries (marks).
 func TestEdgeDedupAndMarks(t *testing.T) {
 	m := newMgr(true)
 	a := m.BeginRegular(0, 1)
@@ -84,17 +86,8 @@ func TestEdgeDedupAndMarks(t *testing.T) {
 	if e1 != e2 {
 		t.Error("same-pair edges should dedupe")
 	}
-	if len(a.Marks) != 2 || len(b.Marks) != 2 {
-		t.Fatalf("expected 2 mark pairs, got src %d dst %d", len(a.Marks), len(b.Marks))
-	}
-	if a.Marks[0].In || !b.Marks[0].In {
-		t.Error("source gets out-marks, sink gets in-marks")
-	}
-	if a.Marks[0].Seq != b.Marks[0].Seq {
-		t.Error("paired marks must share a Seq")
-	}
-	if a.Marks[0].Other != b || b.Marks[0].Other != a {
-		t.Error("marks must reference the peer transaction")
+	if a.occs != 2 || b.occs != 2 {
+		t.Errorf("occurrences counted: src %d dst %d, want 2 each", a.occs, b.occs)
 	}
 	if m.Stats().CrossEdges != 1 || m.Stats().CrossOccs != 2 {
 		t.Errorf("stats: %+v", m.Stats())

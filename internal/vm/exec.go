@@ -119,8 +119,8 @@ func NewExec(prog *Program, cfg Config) *Exec {
 func (e *Exec) Prog() *Program { return e.prog }
 
 // Now returns the global access clock: the Seq of the most recent Access
-// event. Checkers stamp transaction boundaries and edge marks with it, so
-// those stamps are directly comparable with Access.Seq values.
+// event. Checkers stamp transaction boundaries with it, so those stamps are
+// directly comparable with Access.Seq values.
 func (e *Exec) Now() uint64 { return e.seq }
 
 // Blocked reports whether thread t is currently blocked (waiting for a
