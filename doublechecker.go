@@ -117,7 +117,8 @@ type Options struct {
 	inject func(analysis core.Analysis, seed int64, cfg *core.Config)
 
 	// telemetry is the check-wide metric registry, created by
-	// CheckUnitContext and shared by every run and the supervisor; its
+	// CheckUnitContext and shared by every run and the supervisor. Each
+	// completed run adds its counts to it; a failed attempt adds none. Its
 	// deterministic snapshot becomes Report.Telemetry.
 	telemetry *telemetry.Registry
 }
@@ -251,11 +252,12 @@ type Report struct {
 	Downgrades []Downgrade
 
 	// Telemetry is the check's machine-readable metric snapshot — the
-	// cumulative pipeline counters, histograms, and phase spans across every
-	// trial, as indented JSON with nondeterministic fields (span wall times)
-	// stripped: checking the same program with the same options twice yields
-	// byte-identical bytes. It is raw JSON so callers can embed or forward
-	// it without depending on internal types.
+	// pipeline counters of every completed run (a failed attempt adds none),
+	// the supervisor's counters, histograms and phase spans, as indented
+	// JSON with nondeterministic fields (span wall times) stripped: checking
+	// the same program with the same options twice yields byte-identical
+	// bytes. It is raw JSON so callers can embed or forward it without
+	// depending on internal types.
 	Telemetry json.RawMessage
 }
 

@@ -17,6 +17,7 @@ import (
 	"doublechecker/internal/cost"
 	"doublechecker/internal/icd"
 	"doublechecker/internal/obs"
+	"doublechecker/internal/octet"
 	"doublechecker/internal/pcd"
 	"doublechecker/internal/telemetry"
 	"doublechecker/internal/txn"
@@ -138,10 +139,11 @@ type Config struct {
 	// Telemetry, if non-nil, receives every pipeline metric of the run: the
 	// Octet transition mix, IDG/SCC statistics, PCD replay counters, the
 	// Velodrome baseline's work, the phase spans, and the end-of-run VM and
-	// cost summaries. A shared registry accumulates across runs (that is how
-	// dcheck's -metrics-addr endpoint reports a whole session); when nil, a
-	// private registry is created per run so Result.Telemetry is always
-	// populated.
+	// cost summaries. Counters and gauges arrive when the run completes; an
+	// aborted run adds only spans and histograms. A shared registry
+	// accumulates across runs (that is how dcheck's -metrics-addr endpoint
+	// reports a whole session); when nil, a private registry is created per
+	// run so Result.Telemetry is always populated.
 	Telemetry *telemetry.Registry
 }
 
@@ -314,9 +316,56 @@ func publishRunTelemetry(reg *telemetry.Registry, res *Result, live, metered boo
 	}
 }
 
+// publishOctet publishes the Octet barrier outcomes (Table 1 / Figure 4).
+// Like the other publish functions, it registers every counter, zero or not.
+func publishOctet(reg *telemetry.Registry, s octet.Stats) {
+	reg.Counter(telemetry.OctetFastPath).Add(s.FastPath)
+	reg.Counter(telemetry.OctetInitial).Add(s.Initial)
+	reg.Counter(telemetry.OctetUpgrading).Add(s.Upgrading)
+	reg.Counter(telemetry.OctetFence).Add(s.Fences)
+	reg.Counter(telemetry.OctetConflicting).Add(s.Conflicting)
+	reg.Counter(telemetry.OctetRespondersExpl).Add(s.Explicit)
+	reg.Counter(telemetry.OctetRespondersImpl).Add(s.Implicit)
+}
+
+// publishICD publishes the IDG's edges by Figure 4 handler, nodes and SCCs.
+func publishICD(reg *telemetry.Registry, s icd.Stats) {
+	reg.Counter(telemetry.IDGEdgesConflicting).Add(s.EdgesConflicting)
+	reg.Counter(telemetry.IDGEdgesUpgradeRdEx).Add(s.EdgesUpgradeRdEx)
+	reg.Counter(telemetry.IDGEdgesUpgradeRdSh).Add(s.EdgesUpgradeRdSh)
+	reg.Counter(telemetry.IDGEdgesFence).Add(s.EdgesFence)
+	reg.Counter(telemetry.IDGNodesRegular).Add(s.FinishedRegular)
+	reg.Counter(telemetry.IDGNodesUnary).Add(s.FinishedUnary)
+	reg.Counter(telemetry.ICDSCCs).Add(s.SCCs)
+	reg.Counter(telemetry.ICDSCCTxns).Add(s.SCCTxns)
+}
+
+// publishPCD publishes PCD's replay volume.
+func publishPCD(reg *telemetry.Registry, s pcd.Stats) {
+	reg.Counter(telemetry.PCDSCCs).Add(s.SCCsProcessed)
+	reg.Counter(telemetry.PCDTxns).Add(s.TxnsProcessed)
+	reg.Counter(telemetry.PCDTxnsSent).Add(s.DistinctTxns)
+	reg.Counter(telemetry.PCDEntries).Add(s.EntriesReplayed)
+	reg.Counter(telemetry.PCDEdges).Add(s.PDGEdges)
+	reg.Counter(telemetry.PCDCycles).Add(s.PreciseCycles)
+}
+
+// publishVelodrome publishes the Velodrome baseline's work: one metadata
+// update per instrumented access, and sync skips under the unsound variant.
+func publishVelodrome(reg *telemetry.Registry, s velodrome.Stats, unsound bool) {
+	reg.Counter(telemetry.VeloMetadataUpdates).Add(s.InstrumentedAccesses)
+	reg.Counter(telemetry.VeloEdges).Add(s.EdgesAdded)
+	reg.Counter(telemetry.VeloCycleChecks).Add(s.CycleChecks)
+	if unsound {
+		reg.Counter(telemetry.VeloSyncFastSkips).Add(s.SyncFastSkips)
+	}
+}
+
 // buildAnalysis assembles the checker configuration selected by cfg into an
 // instrumentation plus a collect closure that harvests its findings into
-// res once the event stream ends. It is shared by the live execution path
+// res once the event stream ends, and publishes its checkers' Stats to the
+// registry. run calls collect only for a completed run, so an aborted run
+// publishes no checker counter. It is shared by the live execution path
 // (RunContext) and the trace replay path (RunTrace): both drive the same
 // instrumentation, one from a VM, one from a file.
 //
@@ -352,6 +401,7 @@ func buildAnalysis(tspan obs.Span, prog *vm.Program, cfg Config, res *Result) (v
 			res.Violations = v.Violations()
 			res.Velo = v.Stats()
 			res.Txn = v.TxnStats()
+			publishVelodrome(cfg.Telemetry, res.Velo, opts.Unsound)
 		}
 
 	case DCSingle, DCFirst, DCSecond, PCDOnly:
@@ -407,9 +457,12 @@ func buildAnalysis(tspan obs.Span, prog *vm.Program, cfg Config, res *Result) (v
 			if cfg.Analysis == PCDOnly {
 				p.Process(ic.Manager().All())
 			}
+			publishOctet(cfg.Telemetry, ic.OctetStats())
+			publishICD(cfg.Telemetry, res.ICD)
 			if p != nil {
 				res.Violations = p.Violations()
 				res.PCD = p.Stats()
+				publishPCD(cfg.Telemetry, res.PCD)
 			}
 			res.StaticMethods, res.StaticUnary = ic.StaticInfo()
 			if offMeter != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -171,5 +172,25 @@ func TestDiffTraceTelemetry(t *testing.T) {
 		if strings.Contains(string(snap.JSON()), `"wall_ns"`) {
 			t.Errorf("%s snapshot not deterministic (has wall_ns)", name)
 		}
+	}
+}
+
+// TestAbortedRunPublishesNoCounter: a run that deadlocks adds no counter to
+// a shared registry, checker counts included, while its execute span still
+// counts. abbaProg deadlocks under this schedule after Octet has already
+// taken transitions and ICD has added IDG edges.
+func TestAbortedRunPublishesNoCounter(t *testing.T) {
+	prog, atomic := abbaProg()
+	reg := telemetry.NewRegistry()
+	_, err := Run(prog, Config{Analysis: DCSingle, Sched: vm.NewRandom(0), Atomic: atomic, Telemetry: reg})
+	if !errors.Is(err, vm.ErrDeadlock) {
+		t.Fatalf("want a deadlock, got %v", err)
+	}
+	s := reg.Snapshot()
+	if len(s.Counters) != 0 {
+		t.Errorf("an aborted run published counters: %v", s.Counters)
+	}
+	if n := s.Spans[telemetry.SpanExecute].Count; n != 1 {
+		t.Errorf("%s span count = %d, want 1", telemetry.SpanExecute, n)
 	}
 }

@@ -72,9 +72,10 @@ type Options struct {
 	// the deferred path (eager hits see incomplete transactions); the knob
 	// exists to measure the cost the paper's design avoids.
 	EagerDetect bool
-	// Telemetry, when non-nil, receives live IDG/SCC metrics and the
-	// icd.scc / icd.gc phase spans; the registry is also attached to the
-	// underlying Octet engine.
+	// Telemetry, when non-nil, receives the icd.scc / icd.gc phase spans
+	// and one icd.scc.size observation per detected SCC. The run's counts
+	// stay in Stats and OctetStats; core publishes them when a run
+	// completes.
 	Telemetry *telemetry.Registry
 	// TraceSpan is the request-scoped parent under which the icd.scc and
 	// icd.gc phase spans also appear in the trace tree. The zero Span — the
@@ -104,47 +105,15 @@ type Stats struct {
 	// upkeep (order maintenance, component merges, adjacency compaction) —
 	// the per-edge work that keeps per-finish detection a lookup.
 	MaintenanceUnits uint64
-}
-
-// idgEdgeKind labels which Figure 4 handler produced an IDG edge, for the
-// per-dependence-type telemetry breakdown.
-type idgEdgeKind uint8
-
-const (
-	edgeConflicting idgEdgeKind = iota
-	edgeUpgradeRdEx
-	edgeUpgradeRdSh
-	edgeFence
-	numEdgeKinds
-)
-
-// tel holds pre-resolved telemetry handles so instrumented paths pay a nil
-// check plus an atomic op, never a registry map lookup.
-type tel struct {
-	edges        [numEdgeKinds]*telemetry.Counter
-	nodesRegular *telemetry.Counter
-	nodesUnary   *telemetry.Counter
-	sccs         *telemetry.Counter
-	sccTxns      *telemetry.Counter
-	sccSize      *telemetry.Histogram
-}
-
-func newTel(reg *telemetry.Registry) *tel {
-	if reg == nil {
-		return nil
-	}
-	t := &tel{
-		nodesRegular: reg.Counter(telemetry.IDGNodesRegular),
-		nodesUnary:   reg.Counter(telemetry.IDGNodesUnary),
-		sccs:         reg.Counter(telemetry.ICDSCCs),
-		sccTxns:      reg.Counter(telemetry.ICDSCCTxns),
-		sccSize:      reg.Histogram(telemetry.ICDSCCSize, telemetry.SCCSizeBuckets),
-	}
-	t.edges[edgeConflicting] = reg.Counter(telemetry.IDGEdgesConflicting)
-	t.edges[edgeUpgradeRdEx] = reg.Counter(telemetry.IDGEdgesUpgradeRdEx)
-	t.edges[edgeUpgradeRdSh] = reg.Counter(telemetry.IDGEdgesUpgradeRdSh)
-	t.edges[edgeFence] = reg.Counter(telemetry.IDGEdgesFence)
-	return t
+	// IDGEdges split by the Figure 4 handler that added the edge.
+	EdgesConflicting uint64
+	EdgesUpgradeRdEx uint64 // upgrading: T1.lastRdEx -> currTX(T)
+	EdgesUpgradeRdSh uint64 // upgrading: gLastRdSh -> currTX(T)
+	EdgesFence       uint64
+	// FinishedRegular and FinishedUnary count finished transactions, the
+	// IDG's nodes; a transaction still open when the run ends is in neither.
+	FinishedRegular uint64
+	FinishedUnary   uint64
 }
 
 // arena is one run's graph storage, handed to a later run when the run
@@ -215,7 +184,9 @@ type Checker struct {
 
 	stats   Stats
 	sinceGC uint64
-	tel     *tel
+	// sccSize is the icd.scc.size histogram, nil without a registry. It is
+	// observed once per SCC: a distribution needs every observation.
+	sccSize *telemetry.Histogram
 }
 
 // NewChecker returns an ICD checker. meter may be nil. The run's state —
@@ -224,14 +195,17 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 	if opts.GCPeriod == 0 {
 		opts.GCPeriod = 8192
 	}
-	return &Checker{
+	c := &Checker{
 		prog:       prog,
 		meter:      meter,
 		model:      meter.Model(),
 		opts:       opts,
 		sccMethods: make(map[vm.MethodID]int),
-		tel:        newTel(opts.Telemetry),
 	}
+	if opts.Telemetry != nil {
+		c.sccSize = opts.Telemetry.Histogram(telemetry.ICDSCCSize, telemetry.SCCSizeBuckets)
+	}
+	return c
 }
 
 // skips reports whether thread t is inside a filtered-out transaction.
@@ -341,9 +315,14 @@ func (c *Checker) TxnStats() txn.Stats {
 	return c.mgr.Stats()
 }
 
-// OctetStats returns the underlying Octet engine's counters (nil-safe only
-// after ProgramStart).
-func (c *Checker) OctetStats() octet.Stats { return c.oct.Stats() }
+// OctetStats returns the underlying Octet engine's counters (zero before
+// ProgramStart).
+func (c *Checker) OctetStats() octet.Stats {
+	if c.oct == nil {
+		return octet.Stats{}
+	}
+	return c.oct.Stats()
+}
 
 // StaticInfo returns the first run's output for the second run: how many
 // SCCs each method's regular transactions appeared in, and whether any
@@ -398,7 +377,6 @@ func (c *Checker) ProgramStart(e vm.ExecView) {
 		})
 	}
 	c.oct = octet.New(c, e.Blocked, c.meter)
-	c.oct.SetTelemetry(c.opts.Telemetry)
 }
 
 // ProgramEnd implements vm.Instrumentation: the run's graph storage goes back
@@ -506,7 +484,7 @@ func (c *Checker) HandleConflicting(resp, req vm.ThreadID, old, new octet.State,
 	if src != nil {
 		// An incoming edge cuts a merged unary transaction first.
 		dst = c.mgr.EdgeSink(req)
-		c.addIDGEdge(src, dst, edgeConflicting)
+		c.addIDGEdge(src, dst, &c.stats.EdgesConflicting)
 	} else {
 		dst = c.mgr.Current(req)
 	}
@@ -527,10 +505,10 @@ func (c *Checker) HandleUpgrading(t vm.ThreadID, rdExOwner vm.ThreadID, old, new
 		cur = c.mgr.Current(t)
 	}
 	if last != nil {
-		c.addIDGEdge(last, cur, edgeUpgradeRdEx)
+		c.addIDGEdge(last, cur, &c.stats.EdgesUpgradeRdEx)
 	}
 	if c.gLastRdSh != nil {
-		c.addIDGEdge(c.gLastRdSh, cur, edgeUpgradeRdSh)
+		c.addIDGEdge(c.gLastRdSh, cur, &c.stats.EdgesUpgradeRdSh)
 	}
 	c.gLastRdSh = cur
 }
@@ -538,11 +516,13 @@ func (c *Checker) HandleUpgrading(t vm.ThreadID, rdExOwner vm.ThreadID, old, new
 // HandleFence implements octet.Hooks (Figure 4, handleFenceTransition).
 func (c *Checker) HandleFence(t vm.ThreadID, counter uint64) {
 	if c.gLastRdSh != nil {
-		c.addIDGEdge(c.gLastRdSh, c.mgr.EdgeSink(t), edgeFence)
+		c.addIDGEdge(c.gLastRdSh, c.mgr.EdgeSink(t), &c.stats.EdgesFence)
 	}
 }
 
-func (c *Checker) addIDGEdge(src, dst *txn.Txn, kind idgEdgeKind) {
+// addIDGEdge adds the edge src -> dst to the IDG. A new edge is counted in
+// IDGEdges and in *kind, the Stats field of the handler that added it.
+func (c *Checker) addIDGEdge(src, dst *txn.Txn, kind *uint64) {
 	if src == nil || dst == nil || src == dst {
 		return
 	}
@@ -550,9 +530,7 @@ func (c *Checker) addIDGEdge(src, dst *txn.Txn, kind idgEdgeKind) {
 	c.mgr.AddCrossEdge(src, dst)
 	if c.mgr.Stats().CrossEdges != before {
 		c.stats.IDGEdges++
-		if c.tel != nil {
-			c.tel.edges[kind].Inc()
-		}
+		*kind++
 		if c.meter != nil {
 			c.meter.Charge(c.model.IDGEdge)
 		}
@@ -579,12 +557,10 @@ func (c *Checker) addIDGEdge(src, dst *txn.Txn, kind idgEdgeKind) {
 // txnFinished runs deferred cycle detection (§3.2.3): compute the maximal
 // SCC containing the finished transaction, over finished transactions only.
 func (c *Checker) txnFinished(tx *txn.Txn) {
-	if c.tel != nil {
-		if tx.Unary {
-			c.tel.nodesUnary.Inc()
-		} else {
-			c.tel.nodesRegular.Inc()
-		}
+	if tx.Unary {
+		c.stats.FinishedUnary++
+	} else {
+		c.stats.FinishedRegular++
 	}
 	if c.opts.DisableSCC {
 		return
@@ -679,10 +655,8 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 	c.stats.SCCs++
 	c.stats.SCCTxns += uint64(size)
 	span.SetInt("scc_txns", int64(size))
-	if c.tel != nil {
-		c.tel.sccs.Inc()
-		c.tel.sccTxns.Add(uint64(size))
-		c.tel.sccSize.Observe(uint64(size))
+	if c.sccSize != nil {
+		c.sccSize.Observe(uint64(size))
 	}
 	if comp != nil {
 		c.opts.OnSCC(comp)

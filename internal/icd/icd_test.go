@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"doublechecker/internal/cost"
+	"doublechecker/internal/octet"
 	"doublechecker/internal/txn"
 	"doublechecker/internal/vm"
 )
@@ -342,5 +343,50 @@ func TestManagerAccessorAndKnobs(t *testing.T) {
 	}
 	if c.Manager().Stats().LogElided != 0 {
 		t.Error("NoElision must reach the manager")
+	}
+}
+
+// TestStatsBeforeProgramStart: a checker that has not started a run reports
+// zero counts rather than reading run state that ProgramStart builds.
+func TestStatsBeforeProgramStart(t *testing.T) {
+	prog, _, _ := racyIncrement()
+	c := NewChecker(prog, nil, Options{})
+	if s := c.OctetStats(); s != (octet.Stats{}) {
+		t.Errorf("OctetStats before ProgramStart = %+v, want zero", s)
+	}
+	if s := c.TxnStats(); s != (txn.Stats{}) {
+		t.Errorf("TxnStats before ProgramStart = %+v, want zero", s)
+	}
+}
+
+// TestEdgeKindsAndFinishesAddUp: the IDG edges counted per Figure 4 handler
+// sum to IDGEdges, and since every input here ends with no transaction open,
+// every transaction the manager created finished once, as a regular or a
+// unary IDG node. Each count must move somewhere in the corpus.
+func TestEdgeKindsAndFinishesAddUp(t *testing.T) {
+	var total Stats
+	for _, in := range reuseInputs(t) {
+		c := NewChecker(in.prog, nil, Options{Logging: true})
+		if err := in.drive(c, nil); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		s, ts := c.Stats(), c.TxnStats()
+		if sum := s.EdgesConflicting + s.EdgesUpgradeRdEx + s.EdgesUpgradeRdSh + s.EdgesFence; sum != s.IDGEdges {
+			t.Errorf("%s: edges by handler sum to %d, IDGEdges = %d", in.name, sum, s.IDGEdges)
+		}
+		if s.FinishedRegular != ts.RegularTxns || s.FinishedUnary != ts.UnaryTxns {
+			t.Errorf("%s: finished %d regular and %d unary, manager created %d and %d",
+				in.name, s.FinishedRegular, s.FinishedUnary, ts.RegularTxns, ts.UnaryTxns)
+		}
+		total.EdgesConflicting += s.EdgesConflicting
+		total.EdgesUpgradeRdEx += s.EdgesUpgradeRdEx
+		total.EdgesUpgradeRdSh += s.EdgesUpgradeRdSh
+		total.EdgesFence += s.EdgesFence
+		total.FinishedRegular += s.FinishedRegular
+		total.FinishedUnary += s.FinishedUnary
+	}
+	if total.EdgesConflicting == 0 || total.EdgesUpgradeRdEx == 0 || total.EdgesUpgradeRdSh == 0 ||
+		total.EdgesFence == 0 || total.FinishedRegular == 0 || total.FinishedUnary == 0 {
+		t.Fatalf("a count never moved over the corpus: %+v", total)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"doublechecker/internal/cost"
-	"doublechecker/internal/telemetry"
 	"doublechecker/internal/vm"
 )
 
@@ -164,18 +163,6 @@ type Stats struct {
 	Implicit    uint64 // implicit-protocol responders
 }
 
-// tel holds pre-resolved telemetry counters so the barrier hot path pays
-// one nil check plus one atomic add per transition, never a map lookup.
-type tel struct {
-	fastPath    *telemetry.Counter
-	initial     *telemetry.Counter
-	upgrading   *telemetry.Counter
-	fence       *telemetry.Counter
-	conflicting *telemetry.Counter
-	explicit    *telemetry.Counter
-	implicit    *telemetry.Counter
-}
-
 // Engine tracks Octet state for every object of one execution.
 //
 // Object and thread IDs are dense small integers (the VM allocates them
@@ -194,24 +181,6 @@ type Engine struct {
 	meter    *cost.Meter
 	model    cost.Model // the meter's prices, read once
 	stats    Stats
-	tel      *tel
-}
-
-// SetTelemetry attaches a registry: barrier outcomes are then counted live
-// under the telemetry.Octet* metric names (the Figure 4 transition mix).
-func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	e.tel = &tel{
-		fastPath:    reg.Counter(telemetry.OctetFastPath),
-		initial:     reg.Counter(telemetry.OctetInitial),
-		upgrading:   reg.Counter(telemetry.OctetUpgrading),
-		fence:       reg.Counter(telemetry.OctetFence),
-		conflicting: reg.Counter(telemetry.OctetConflicting),
-		explicit:    reg.Counter(telemetry.OctetRespondersExpl),
-		implicit:    reg.Counter(telemetry.OctetRespondersImpl),
-	}
 }
 
 // New returns an Engine. blocked reports whether a thread is currently
@@ -294,9 +263,6 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 	case WrEx, RdEx:
 		if old.Owner == t {
 			e.stats.FastPath++
-			if e.tel != nil {
-				e.tel.fastPath.Inc()
-			}
 			e.charge(e.model.OctetFastPath)
 			return Transition{Kind: Same, Old: old, New: old}
 		}
@@ -310,27 +276,18 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 		e.setState(obj, newState)
 		e.setRdShCnt(t, e.gRdShCnt)
 		e.stats.Upgrading++
-		if e.tel != nil {
-			e.tel.upgrading.Inc()
-		}
 		e.charge(e.model.OctetUpgrade)
 		e.hooks.HandleUpgrading(t, old.Owner, old, newState)
 		return Transition{Kind: Upgrading, Old: old, New: newState}
 	case RdSh:
 		if e.RdShCnt(t) >= old.Counter {
 			e.stats.FastPath++
-			if e.tel != nil {
-				e.tel.fastPath.Inc()
-			}
 			e.charge(e.model.OctetFastPath)
 			return Transition{Kind: Same, Old: old, New: old}
 		}
 		// Fence transition: update the thread's counter.
 		e.setRdShCnt(t, old.Counter)
 		e.stats.Fences++
-		if e.tel != nil {
-			e.tel.fence.Inc()
-		}
 		e.charge(e.model.OctetFence)
 		e.hooks.HandleFence(t, old.Counter)
 		return Transition{Kind: Fence, Old: old, New: old}
@@ -338,9 +295,6 @@ func (e *Engine) BeforeRead(t vm.ThreadID, obj vm.ObjectID) Transition {
 		newState := State{Kind: RdEx, Owner: t}
 		e.setState(obj, newState)
 		e.stats.Initial++
-		if e.tel != nil {
-			e.tel.initial.Inc()
-		}
 		e.charge(e.model.OctetUpgrade)
 		return Transition{Kind: Initial, Old: old, New: newState}
 	}
@@ -354,9 +308,6 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 	case WrEx:
 		if old.Owner == t {
 			e.stats.FastPath++
-			if e.tel != nil {
-				e.tel.fastPath.Inc()
-			}
 			e.charge(e.model.OctetFastPath)
 			return Transition{Kind: Same, Old: old, New: old}
 		}
@@ -368,9 +319,6 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 			newState := State{Kind: WrEx, Owner: t}
 			e.setState(obj, newState)
 			e.stats.Upgrading++
-			if e.tel != nil {
-				e.tel.upgrading.Inc()
-			}
 			e.charge(e.model.OctetUpgrade)
 			return Transition{Kind: Upgrading, Old: old, New: newState}
 		}
@@ -381,9 +329,6 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 		newState := State{Kind: WrEx, Owner: t}
 		e.setState(obj, newState)
 		e.stats.Initial++
-		if e.tel != nil {
-			e.tel.initial.Inc()
-		}
 		e.charge(e.model.OctetUpgrade)
 		return Transition{Kind: Initial, Old: old, New: newState}
 	}
@@ -399,9 +344,6 @@ func (e *Engine) BeforeWrite(t vm.ThreadID, obj vm.ObjectID) Transition {
 // transitions from RdSh to WrExT, ICD adds edges from all threads").
 func (e *Engine) conflict(req vm.ThreadID, obj vm.ObjectID, old, newState State) Transition {
 	e.stats.Conflicting++
-	if e.tel != nil {
-		e.tel.conflicting.Inc()
-	}
 	resps := e.resps[:0]
 	switch old.Kind {
 	case WrEx, RdEx:
@@ -419,15 +361,9 @@ func (e *Engine) conflict(req vm.ThreadID, obj vm.ObjectID, old, newState State)
 		explicit := !e.blocked(resp) && !e.isExited(resp)
 		if explicit {
 			e.stats.Explicit++
-			if e.tel != nil {
-				e.tel.explicit.Inc()
-			}
 			e.charge(e.model.OctetConflictExplicit)
 		} else {
 			e.stats.Implicit++
-			if e.tel != nil {
-				e.tel.implicit.Inc()
-			}
 			e.charge(e.model.OctetConflictImplicit)
 		}
 		e.stats.Responders++

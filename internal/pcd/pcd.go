@@ -54,17 +54,6 @@ type Stats struct {
 	PreciseCycles   uint64 // dynamic precise cycles (pre-dedup)
 }
 
-// tel holds pre-resolved telemetry handles (nil when no registry attached).
-type tel struct {
-	sccs     *telemetry.Counter
-	txns     *telemetry.Counter
-	txnsSent *telemetry.Counter
-	entries  *telemetry.Counter
-	edges    *telemetry.Counter
-	cycles   *telemetry.Counter
-	fieldMap *telemetry.Histogram
-}
-
 // Checker is a PCD instance. It is fed SCCs by ICD (via core) and
 // accumulates precise violations.
 type Checker struct {
@@ -76,10 +65,10 @@ type Checker struct {
 	seen       map[string]bool     // cycle identity (sorted txn IDs) dedup
 	seenTxns   map[uint64]struct{} // distinct txn IDs sent to PCD
 	stats      Stats
-	reg        *telemetry.Registry // nil: no metrics, phase spans trace only
-	tel        *tel
-	tspan      obs.Span // request-scoped parent for pcd.replay spans
-	tempBytes  int64    // live replay temporaries (released per Process)
+	reg        *telemetry.Registry  // nil: no metrics, phase spans trace only
+	fieldMap   *telemetry.Histogram // pcd.field_map.size, nil without reg
+	tspan      obs.Span             // request-scoped parent for pcd.replay spans
+	tempBytes  int64                // live replay temporaries (released per Process)
 
 	// Replay working state. Process fills it and empties it again on
 	// return, keeping the capacity, so a stream of SCCs replays without
@@ -100,22 +89,15 @@ type Checker struct {
 	key        []byte                // cycleKey scratch
 }
 
-// SetTelemetry attaches a registry: Process then records live counters, the
-// per-field map-size histogram, and the pcd.replay / pcd.blame phase spans.
+// SetTelemetry attaches a registry: Process then records the pcd.replay /
+// pcd.blame phase spans and one pcd.field_map.size observation per call.
+// The counts stay in Stats; core publishes them when a run completes.
 func (c *Checker) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	c.reg = reg
-	c.tel = &tel{
-		sccs:     reg.Counter(telemetry.PCDSCCs),
-		txns:     reg.Counter(telemetry.PCDTxns),
-		txnsSent: reg.Counter(telemetry.PCDTxnsSent),
-		entries:  reg.Counter(telemetry.PCDEntries),
-		edges:    reg.Counter(telemetry.PCDEdges),
-		cycles:   reg.Counter(telemetry.PCDCycles),
-		fieldMap: reg.Histogram(telemetry.PCDFieldMap, telemetry.MapSizeBuckets),
-	}
+	c.fieldMap = reg.Histogram(telemetry.PCDFieldMap, telemetry.MapSizeBuckets)
 }
 
 // SetTraceSpan attaches a request-scoped parent span: each SCC's pcd.replay
@@ -289,10 +271,6 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	span := c.reg.StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
 	defer span.End()
 	span.SetInt("scc_txns", int64(len(scc)))
-	if c.tel != nil {
-		c.tel.sccs.Inc()
-		c.tel.txns.Add(uint64(len(scc)))
-	}
 	defer c.release()
 	c.scc, c.replaySpan = scc, span.Trace()
 
@@ -305,9 +283,6 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		if _, ok := c.seenTxns[tx.ID]; !ok {
 			c.seenTxns[tx.ID] = struct{}{}
 			c.stats.DistinctTxns++
-			if c.tel != nil {
-				c.tel.txnsSent.Inc()
-			}
 		}
 	}
 	// chains tracks each thread's most recent replayed node, to add
@@ -329,8 +304,7 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	c.tempAlloc(24 * int64(entries))
 
 	c.replayBySeq()
-	if c.tel != nil {
-		c.tel.entries.Add(uint64(entries))
+	if c.fieldMap != nil {
 		// The live per-field metadata at end of replay: the fields with W(f)
 		// set plus those with a non-empty R(·,f) — the heap spike §3.3's
 		// replay pays for.
@@ -343,7 +317,7 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 				live++
 			}
 		}
-		c.tel.fieldMap.Observe(uint64(live))
+		c.fieldMap.Observe(uint64(live))
 	}
 	return c.found
 }
@@ -528,9 +502,6 @@ func (c *Checker) addPDGEdge(src, dst int32, seq uint64) {
 		return
 	}
 	c.stats.PDGEdges++
-	if c.tel != nil {
-		c.tel.edges.Inc()
-	}
 	c.tempAlloc(64)
 	c.charge(c.perEdge)
 	c.stats.CycleChecks++
@@ -539,9 +510,6 @@ func (c *Checker) addPDGEdge(src, dst int32, seq uint64) {
 		return
 	}
 	c.stats.PreciseCycles++
-	if c.tel != nil {
-		c.tel.cycles.Inc()
-	}
 	if c.seen[string(c.cycleKey(path))] {
 		return
 	}

@@ -61,18 +61,11 @@ func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
 	span := c.reg.StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
 	defer span.End()
 	span.SetInt("scc_txns", int64(len(scc)))
-	if c.tel != nil {
-		c.tel.sccs.Inc()
-		c.tel.txns.Add(uint64(len(scc)))
-	}
 
 	for _, tx := range scc {
 		if _, ok := c.seenTxns[tx.ID]; !ok {
 			c.seenTxns[tx.ID] = struct{}{}
 			c.stats.DistinctTxns++
-			if c.tel != nil {
-				c.tel.txnsSent.Inc()
-			}
 		}
 	}
 
@@ -168,9 +161,8 @@ func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
 		}
 		st.count++
 	}
-	if c.tel != nil {
-		c.tel.entries.Add(uint64(len(entries)))
-		c.tel.fieldMap.Observe(uint64(len(lastWrite) + len(lastReads)))
+	if c.fieldMap != nil {
+		c.fieldMap.Observe(uint64(len(lastWrite) + len(lastReads)))
 	}
 	return found
 }
@@ -181,9 +173,6 @@ func (c *Checker) refAddPDGEdge(replay obs.Span, g *refPDG, src, dst *txn.Txn, s
 		return found
 	}
 	c.stats.PDGEdges++
-	if c.tel != nil {
-		c.tel.edges.Inc()
-	}
 	c.tempAlloc(64)
 	c.charge(c.refModel().PCDPerEdge)
 	c.stats.CycleChecks++
@@ -197,9 +186,6 @@ func (c *Checker) refAddPDGEdge(replay obs.Span, g *refPDG, src, dst *txn.Txn, s
 		return found
 	}
 	c.stats.PreciseCycles++
-	if c.tel != nil {
-		c.tel.cycles.Inc()
-	}
 	key := refCycleKey(path)
 	if c.seen[key] {
 		return found

@@ -15,8 +15,10 @@
 //
 // The paper's whole argument is quantitative — the Octet transition mix
 // (Table 1 / Figure 4), IDG size, SCC count and size distribution (§5), and
-// the fraction of transactions PCD must replay — so every checker records
-// those quantities here, and the registry exports them three ways:
+// the fraction of transactions PCD must replay. Each checker counts those
+// quantities in its own Stats; internal/core adds a run's Stats to the
+// registry when the run completes, so a run that aborts adds no counter.
+// The registry exports them three ways:
 //
 //   - a Prometheus-text / expvar / pprof HTTP endpoint (http.go), for live
 //     monitoring of long checks (`dcheck -metrics-addr`);
@@ -32,8 +34,7 @@
 //
 // Concurrency: metric handles update via sync/atomic with no locks; the
 // registry itself locks only on metric creation. A nil *Registry is valid
-// everywhere and returns working (but unregistered) metric handles, so
-// instrumented code needs no nil checks on the hot path.
+// everywhere and returns working (but unregistered) metric handles.
 package telemetry
 
 import (

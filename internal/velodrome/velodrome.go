@@ -72,38 +72,12 @@ type Options struct {
 	// GCPeriod runs transaction-graph collection every N instrumented
 	// accesses; 0 uses the default (8192).
 	GCPeriod uint64
-	// Telemetry, when non-nil, receives live Velodrome metrics (metadata
-	// updates, edges, cycle checks, sync fast skips) and the velo.gc span.
+	// Telemetry, when non-nil, receives the velo.gc phase span. The run's
+	// counts stay in Stats; core publishes them when a run completes.
 	Telemetry *telemetry.Registry
 	// TraceSpan is the request-scoped parent under which the velo.gc phase
 	// span also appears in the trace tree; the zero Span keeps it out.
 	TraceSpan obs.Span
-}
-
-// tel holds pre-resolved telemetry handles so the barrier pays a nil check
-// plus an atomic op, never a registry map lookup.
-type tel struct {
-	metadataUpdates *telemetry.Counter
-	edges           *telemetry.Counter
-	cycleChecks     *telemetry.Counter
-	syncFastSkips   *telemetry.Counter
-}
-
-// newTel resolves the handles; the sync fast-skip counter exists only
-// under the unsound variant, the one configuration that can skip.
-func newTel(reg *telemetry.Registry, unsound bool) *tel {
-	if reg == nil {
-		return nil
-	}
-	t := &tel{
-		metadataUpdates: reg.Counter(telemetry.VeloMetadataUpdates),
-		edges:           reg.Counter(telemetry.VeloEdges),
-		cycleChecks:     reg.Counter(telemetry.VeloCycleChecks),
-	}
-	if unsound {
-		t.syncFastSkips = reg.Counter(telemetry.VeloSyncFastSkips)
-	}
-	return t
 }
 
 // Checker is a Velodrome instance; it implements vm.Instrumentation.
@@ -129,8 +103,6 @@ type Checker struct {
 	// readers is write's reusable buffer for walking a field's readers in
 	// thread order.
 	readers []vm.ThreadID
-
-	tel *tel
 }
 
 // NewChecker returns a Velodrome checker. meter may be nil.
@@ -141,12 +113,10 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 		model: meter.Model(),
 		opts:  opts,
 		meta:  make(map[fieldKey]*metadata),
-		tel:   newTel(opts.Telemetry, opts.Unsound),
 	}
 	if c.opts.GCPeriod == 0 {
 		c.opts.GCPeriod = 8192
 	}
-	c.mgr = txn.NewManager(false, nil, meter)
 	return c
 }
 
@@ -156,10 +126,17 @@ func (c *Checker) Violations() []txn.Violation { return c.violations }
 // Stats returns checker counters.
 func (c *Checker) Stats() Stats { return c.stats }
 
-// TxnStats returns the underlying transaction-manager counters.
-func (c *Checker) TxnStats() txn.Stats { return c.mgr.Stats() }
+// TxnStats returns the underlying transaction-manager counters (zero before
+// ProgramStart).
+func (c *Checker) TxnStats() txn.Stats {
+	if c.mgr == nil {
+		return txn.Stats{}
+	}
+	return c.mgr.Stats()
+}
 
-// ProgramStart implements vm.Instrumentation.
+// ProgramStart implements vm.Instrumentation: it builds the run's
+// transaction manager.
 func (c *Checker) ProgramStart(e vm.ExecView) {
 	c.exec = e
 	c.mgr = txn.NewManager(false, e.Now, c.meter)
@@ -237,9 +214,6 @@ func (c *Checker) Access(a vm.Access) {
 	if c.opts.Unsound && !changes {
 		c.charge(c.model.VeloNoSyncPath)
 		c.stats.SyncFastSkips++
-		if c.tel != nil {
-			c.tel.syncFastSkips.Inc()
-		}
 	} else {
 		c.charge(c.model.VeloSync)
 	}
@@ -298,9 +272,6 @@ func (c *Checker) incomingEdge(md *metadata, a vm.Access) bool {
 // read applies the READ rule of Figure 5.
 func (c *Checker) read(md *metadata, cur *txn.Txn, seq uint64) {
 	c.charge(c.model.VeloMetadata)
-	if c.tel != nil {
-		c.tel.metadataUpdates.Inc()
-	}
 	if md.lastWrite != nil && md.lastWrite.Thread != cur.Thread {
 		c.addEdge(md.lastWrite, cur, seq)
 	}
@@ -310,9 +281,6 @@ func (c *Checker) read(md *metadata, cur *txn.Txn, seq uint64) {
 // write applies the WRITE rule of Figure 5.
 func (c *Checker) write(md *metadata, cur *txn.Txn, seq uint64) {
 	c.charge(c.model.VeloMetadata)
-	if c.tel != nil {
-		c.tel.metadataUpdates.Inc()
-	}
 	if md.lastWrite != nil && md.lastWrite.Thread != cur.Thread {
 		c.addEdge(md.lastWrite, cur, seq)
 	}
@@ -352,17 +320,11 @@ func (c *Checker) addEdge(src, dst *txn.Txn, seq uint64) {
 	}
 	c.mgr.AddCrossEdge(src, dst)
 	c.stats.EdgesAdded++
-	if c.tel != nil {
-		c.tel.edges.Inc()
-	}
 	c.charge(c.model.VeloEdge)
 	if c.opts.DisableCycleDetection {
 		return
 	}
 	c.stats.CycleChecks++
-	if c.tel != nil {
-		c.tel.cycleChecks.Inc()
-	}
 	// The new edge src->dst closes a cycle iff dst reaches src; the
 	// returned path dst -> ... -> src plus the new edge is the cycle.
 	succ := func(t *txn.Txn) []*txn.Txn {

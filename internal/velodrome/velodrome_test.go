@@ -345,6 +345,11 @@ func TestManyThreadsManyViolations(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	prog, script, atomic := buildRacyIncrement()
+	// ProgramStart builds the run's transaction manager; before it there is
+	// nothing to count.
+	if s := NewChecker(prog, nil, Options{}).TxnStats(); s != (txn.Stats{}) {
+		t.Errorf("TxnStats before ProgramStart = %+v, want zero", s)
+	}
 	c := runWith(t, prog, vm.NewScripted(script, true), atomic, Options{})
 	st := c.Stats()
 	if st.InstrumentedAccesses == 0 || st.EdgesAdded == 0 || st.CycleChecks == 0 {

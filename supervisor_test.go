@@ -9,8 +9,10 @@ package doublechecker
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"doublechecker/internal/lang"
 	"doublechecker/internal/spec"
 	"doublechecker/internal/supervise"
+	"doublechecker/internal/telemetry"
 	"doublechecker/internal/vm"
 )
 
@@ -276,6 +279,48 @@ func TestInjectedDeadlockScheduleIsRetriedUnderRotatedSeed(t *testing.T) {
 			t.Fatalf("violation attributed to the deadlocked seed %d: %+v", targetSeed, v)
 		}
 	}
+	// The report counts the three completed runs and nothing of the
+	// deadlocked attempt: apart from the supervisor's own supervise.*
+	// counters, it holds what the completed seeds publish when re-run on
+	// one registry.
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(r.Telemetry, &snap); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	for name, v := range snap.Counters {
+		if !strings.HasPrefix(name, "supervise.") {
+			got[name] = v
+		}
+	}
+	want := completedRunCounters(t, w, w+2, targetSeed+supervise.DefaultSeedStride)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Report.Telemetry counters %v,\nwant the completed runs' %v", got, want)
+	}
+}
+
+// completedRunCounters re-runs abbaSource's single-run trials for seeds on
+// one registry, as CheckSource's default options run them, and returns the
+// counters the registry holds afterwards.
+func completedRunCounters(t *testing.T, seeds ...int64) map[string]uint64 {
+	t.Helper()
+	unit, err := lang.ParseAndLower(abbaSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := spec.AtomicOnly(unit.Prog, unit.AtomicMethods)
+	reg := telemetry.NewRegistry()
+	for _, seed := range seeds {
+		if _, err := core.Run(unit.Prog, core.Config{
+			Analysis:  core.DCSingle,
+			Sched:     vm.NewSticky(seed, 0.1),
+			Atomic:    sp.Atomic,
+			Telemetry: reg,
+		}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	return reg.Snapshot().Counters
 }
 
 func TestMultiRunToleratesLostFirstRun(t *testing.T) {
