@@ -6,6 +6,7 @@
 package doublechecker
 
 import (
+	"context"
 	"testing"
 
 	"doublechecker/internal/core"
@@ -125,7 +126,10 @@ func BenchmarkMultiRunPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.MultiRun(built.Prog, sp.Atomic, 5, int64(i*100), int64(i)); err != nil {
+		if _, err := core.MultiRunContext(context.Background(), built.Prog, 5, int64(i),
+			func(_ core.Analysis, seed int64) core.Config {
+				return core.Config{Seed: seed, Atomic: sp.Atomic}
+			}); err != nil {
 			b.Fatal(err)
 		}
 	}

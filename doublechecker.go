@@ -449,8 +449,8 @@ type trialOutcome struct {
 }
 
 func runMode(ctx context.Context, prog *vm.Program, sp *spec.Spec, seed int64, opts Options) (trialOutcome, error) {
-	newCfg := func(analysis core.Analysis, schedSeed int64) core.Config {
-		cfg := core.Config{
+	cfg := func(analysis core.Analysis, schedSeed int64) core.Config {
+		c := core.Config{
 			Analysis:  analysis,
 			Sched:     vm.NewSticky(schedSeed, opts.Stickiness),
 			Atomic:    sp.Atomic,
@@ -458,56 +458,36 @@ func runMode(ctx context.Context, prog *vm.Program, sp *spec.Spec, seed int64, o
 			Telemetry: opts.telemetry,
 		}
 		if opts.MemoryBudget > 0 {
-			cfg.Meter = cost.NewMeter(cost.Default())
-			cfg.MemoryBudget = opts.MemoryBudget
+			c.Meter = cost.NewMeter(cost.Default())
+			c.MemoryBudget = opts.MemoryBudget
 		}
-		return cfg
-	}
-	exec := func(cfg core.Config, schedSeed int64) (*core.Result, error) {
 		if opts.inject != nil {
-			opts.inject(cfg.Analysis, schedSeed, &cfg)
+			opts.inject(analysis, schedSeed, &c)
 		}
-		return core.RunContext(ctx, prog, cfg)
+		return c
 	}
 	switch opts.Mode {
 	case ModeSingleRun:
-		res, err := exec(newCfg(core.DCSingle, seed), seed)
+		res, err := core.RunContext(ctx, prog, cfg(core.DCSingle, seed))
 		return trialOutcome{res: res}, err
 	case ModeVelodrome:
-		res, err := exec(newCfg(core.Velodrome, seed), seed)
+		res, err := core.RunContext(ctx, prog, cfg(core.Velodrome, seed))
 		return trialOutcome{res: res}, err
 	case ModeMultiRun:
-		var firsts []*core.Result
-		var notes []TrialFailure
-		var firstErrs []error
-		for i := 0; i < opts.FirstRuns; i++ {
-			fseed := seed*1000 + int64(i)
-			res, err := exec(newCfg(core.DCFirst, fseed), fseed)
-			if err != nil {
-				if ctx.Err() != nil {
-					return trialOutcome{}, err
-				}
-				// The first runs are an ensemble; record the loss and let
-				// the survivors feed the second run.
-				notes = append(notes, TrialFailure{
-					Analysis: core.DCFirst.String(), Seed: fseed, Attempt: 1,
-					Kind: string(supervise.Classify(err)), Err: err, Recovered: true,
-				})
-				firstErrs = append(firstErrs, fmt.Errorf("first run %d (seed %d): %w", i, fseed, err))
-				continue
-			}
-			firsts = append(firsts, res)
-		}
-		if len(firsts) == 0 && opts.FirstRuns > 0 {
-			return trialOutcome{}, fmt.Errorf("all %d first runs failed: %w", opts.FirstRuns, errors.Join(firstErrs...))
-		}
-		cfg := newCfg(core.DCSecond, seed)
-		cfg.Filter = core.UnionFilter(firsts)
-		res, err := exec(cfg, seed)
+		o, err := core.MultiRunContext(ctx, prog, opts.FirstRuns, seed, cfg)
 		if err != nil {
 			return trialOutcome{}, err
 		}
-		if res.Cost.OOM {
+		// The first runs are an ensemble: a lost one is noted, and the
+		// survivors fed the second run.
+		var notes []TrialFailure
+		for _, f := range o.FirstFailures {
+			notes = append(notes, TrialFailure{
+				Analysis: core.DCFirst.String(), Seed: f.Seed, Attempt: 1,
+				Kind: string(supervise.Classify(f.Err)), Err: f.Err, Recovered: true,
+			})
+		}
+		if o.Second.Cost.OOM {
 			// Even the degraded pipeline can trip the budget; note it so
 			// the caller knows this result is from a budget-stressed run.
 			notes = append(notes, TrialFailure{
@@ -517,7 +497,7 @@ func runMode(ctx context.Context, prog *vm.Program, sp *spec.Spec, seed int64, o
 				Recovered: true,
 			})
 		}
-		return trialOutcome{res: res, notes: notes}, nil
+		return trialOutcome{res: o.Second, notes: notes}, nil
 	default:
 		return trialOutcome{}, fmt.Errorf("doublechecker: unknown mode %q", opts.Mode)
 	}

@@ -8,6 +8,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
+	"strings"
 
 	"doublechecker/internal/core"
 	"doublechecker/internal/lang"
@@ -97,10 +99,12 @@ func check(label string, broken bool) {
 	if len(blamed) == 0 {
 		fmt.Println("none (conflict-serializable)")
 	} else {
+		names := make([]string, 0, len(blamed))
 		for n := range blamed {
-			fmt.Printf("%s ", n)
+			names = append(names, n)
 		}
-		fmt.Println()
+		sort.Strings(names)
+		fmt.Println(strings.Join(names, " "))
 	}
 }
 

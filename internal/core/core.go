@@ -155,9 +155,8 @@ type Result struct {
 	// the "static violations" Table 2 counts.
 	BlamedMethods map[vm.MethodID]bool
 
-	VMStats  vm.Stats
-	Cost     cost.Report
-	BaseCost cost.Units // program-only cost (filled by harness when known)
+	VMStats vm.Stats
+	Cost    cost.Report
 
 	// Checker-specific statistics (zero-valued when not applicable).
 	ICD  icd.Stats
@@ -536,57 +535,47 @@ type MultiRunOutcome struct {
 	Second *Result
 }
 
-// MultiRun executes the full multi-run pipeline: firstTrials first runs
-// (seeds seedBase..seedBase+firstTrials-1), union of their static
-// information, then one second run with seed secondSeed. Meters, if
-// wanted, must be attached per run by the caller via the returned configs —
-// this helper targets correctness flows; the evaluation harness drives the
-// runs itself for cost accounting.
+// FirstRunSeed is the schedule seed of first run i in the multi-run trial
+// with seed seed.
+func FirstRunSeed(seed int64, i int) int64 { return seed*1000 + int64(i) }
+
+// MultiRunContext runs one trial of the paper's multi-run mode (§3.1):
+// firstRuns ICD-only first runs under seeds FirstRunSeed(seed, i), the
+// union of their static transaction information, then one second run under
+// seed, restricted to that union. cfg builds each run's configuration from
+// its analysis and seed; MultiRunContext then sets the run's Analysis, and
+// the second run's Filter.
 //
 // Individual first-run failures are tolerated (the survivors' union feeds
-// the second run); it errors only when every first run fails, when the
-// second run fails, or on cancellation. MultiRunContext additionally
-// reports which first runs were lost.
-func MultiRun(prog *vm.Program, atomic func(vm.MethodID) bool, firstTrials int, seedBase, secondSeed int64) (firsts []*Result, second *Result, err error) {
-	o, err := MultiRunContext(context.Background(), prog, atomic, firstTrials, seedBase, secondSeed)
-	return o.Firsts, o.Second, err
-}
+// the second run) and recorded in FirstFailures; it errors only when every
+// first run fails, when the second run fails, or on cancellation.
+func MultiRunContext(ctx context.Context, prog *vm.Program, firstRuns int, seed int64,
+	cfg func(a Analysis, seed int64) Config) (*MultiRunOutcome, error) {
 
-// MultiRunContext is MultiRun under a context; see MultiRun for the
-// pipeline and failure-tolerance semantics.
-func MultiRunContext(ctx context.Context, prog *vm.Program, atomic func(vm.MethodID) bool, firstTrials int, seedBase, secondSeed int64) (*MultiRunOutcome, error) {
 	o := &MultiRunOutcome{}
 	var firstErrs []error
-	for i := 0; i < firstTrials; i++ {
-		seed := seedBase + int64(i)
-		r, err := RunContext(ctx, prog, Config{
-			Analysis: DCFirst,
-			Seed:     seed,
-			Atomic:   atomic,
-		})
+	for i := 0; i < firstRuns; i++ {
+		fseed := FirstRunSeed(seed, i)
+		c := cfg(DCFirst, fseed)
+		c.Analysis = DCFirst
+		r, err := RunContext(ctx, prog, c)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancellation is a whole-pipeline abort, not a lost run.
-				return o, fmt.Errorf("first run %d: %w", i, err)
+				return o, err
 			}
-			o.FirstFailures = append(o.FirstFailures, FirstRunFailure{Index: i, Seed: seed, Err: err})
-			firstErrs = append(firstErrs, fmt.Errorf("first run %d (seed %d): %w", i, seed, err))
+			o.FirstFailures = append(o.FirstFailures, FirstRunFailure{Index: i, Seed: fseed, Err: err})
+			firstErrs = append(firstErrs, fmt.Errorf("first run %d (seed %d): %w", i, fseed, err))
 			continue
 		}
 		o.Firsts = append(o.Firsts, r)
 	}
-	if len(o.Firsts) == 0 && firstTrials > 0 {
-		return o, fmt.Errorf("core: all %d first runs failed: %w", firstTrials, errors.Join(firstErrs...))
+	if len(o.Firsts) == 0 && firstRuns > 0 {
+		return o, fmt.Errorf("all %d first runs failed: %w", firstRuns, errors.Join(firstErrs...))
 	}
-	second, err := RunContext(ctx, prog, Config{
-		Analysis: DCSecond,
-		Seed:     secondSeed,
-		Atomic:   atomic,
-		Filter:   UnionFilter(o.Firsts),
-	})
-	o.Second = second
-	if err != nil {
-		return o, fmt.Errorf("second run: %w", err)
-	}
-	return o, nil
+	c := cfg(DCSecond, seed)
+	c.Analysis, c.Filter = DCSecond, UnionFilter(o.Firsts)
+	var err error
+	o.Second, err = RunContext(ctx, prog, c)
+	return o, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -76,12 +77,12 @@ func TestMultiRunPipelineFindsViolation(t *testing.T) {
 	// Random scheduling across several first-run seeds; at least one seed
 	// triggers the cycle, and the second run then monitors inc.
 	var found bool
-	for secondSeed := int64(0); secondSeed < 10 && !found; secondSeed++ {
-		_, second, err := MultiRun(prog, atomic, 10, 100, secondSeed)
+	for seed := int64(0); seed < 10 && !found; seed++ {
+		o, err := MultiRunContext(context.Background(), prog, 10, seed, randomCfg(atomic))
 		if err != nil {
 			t.Fatal(err)
 		}
-		found = len(second.Violations) > 0
+		found = len(o.Second.Violations) > 0
 	}
 	if !found {
 		t.Error("multi-run pipeline found no violation in 10 second-run seeds")

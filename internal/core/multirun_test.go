@@ -41,27 +41,47 @@ func abbaProg() (*vm.Program, func(vm.MethodID) bool) {
 	return prog, atomic
 }
 
+// randomCfg builds multi-run configurations on the default random
+// scheduler, seeded with the run's seed.
+func randomCfg(atomic func(vm.MethodID) bool) func(Analysis, int64) Config {
+	return func(_ Analysis, seed int64) Config { return Config{Seed: seed, Atomic: atomic} }
+}
+
+// survives reports whether prog completes under the random scheduler with
+// seed. DCFirst and DCSecond share the executor and scheduler, so a seed's
+// interleaving — and hence any deadlock — is identical across analyses.
+func survives(prog *vm.Program, atomic func(vm.MethodID) bool, seed int64) bool {
+	_, err := Run(prog, Config{Analysis: DCFirst, Seed: seed, Atomic: atomic})
+	return err == nil
+}
+
 func TestMultiRunToleratesIndividualFirstRunFailures(t *testing.T) {
 	prog, atomic := abbaProg()
-	// Deterministic: with the default random scheduler, seeds 0..19 split
-	// into deadlocking and surviving schedules. Find the split, then check
-	// the pipeline tolerates exactly the deadlocking ones.
+	// Deterministic: with the default random scheduler, the 20 first-run
+	// seeds of a trial split into deadlocking and surviving schedules. Find
+	// a trial whose first runs split and whose own seed (the second run's)
+	// survives, then check the pipeline tolerates exactly the deadlocking
+	// first runs.
+	const firstRuns = 20
 	var failSeeds, goodSeeds []int64
-	for seed := int64(0); seed < 20; seed++ {
-		_, err := Run(prog, Config{Analysis: DCFirst, Seed: seed, Atomic: atomic})
-		if err != nil {
-			failSeeds = append(failSeeds, seed)
-		} else {
-			goodSeeds = append(goodSeeds, seed)
+	trial := int64(-1)
+	for s := int64(0); s < 10 && trial < 0; s++ {
+		failSeeds, goodSeeds = nil, nil
+		for i := 0; i < firstRuns; i++ {
+			if seed := FirstRunSeed(s, i); survives(prog, atomic, seed) {
+				goodSeeds = append(goodSeeds, seed)
+			} else {
+				failSeeds = append(failSeeds, seed)
+			}
+		}
+		if len(failSeeds) > 0 && len(goodSeeds) > 0 && survives(prog, atomic, s) {
+			trial = s
 		}
 	}
-	if len(failSeeds) == 0 || len(goodSeeds) == 0 {
-		t.Skipf("seed range produced no mix (failing=%d surviving=%d); pick other seeds", len(failSeeds), len(goodSeeds))
+	if trial < 0 {
+		t.Skipf("no trial seed in [0, 10) produced a mix with a surviving second run; pick other seeds")
 	}
-	// The second run reuses a seed verified to survive (DCFirst and
-	// DCSecond share the executor and scheduler, so the interleaving — and
-	// hence any deadlock — is identical across analyses).
-	o, err := MultiRunContext(context.Background(), prog, atomic, 20, 0, goodSeeds[0])
+	o, err := MultiRunContext(context.Background(), prog, firstRuns, trial, randomCfg(atomic))
 	if err != nil {
 		t.Fatalf("pipeline failed despite %d surviving first runs: %v", len(goodSeeds), err)
 	}
@@ -72,8 +92,8 @@ func TestMultiRunToleratesIndividualFirstRunFailures(t *testing.T) {
 		if !errors.Is(f.Err, vm.ErrDeadlock) {
 			t.Fatalf("first-run failure lost its cause: %+v", f)
 		}
-		if f.Seed != int64(f.Index) {
-			t.Fatalf("failure seed %d does not match index %d (seedBase 0)", f.Seed, f.Index)
+		if f.Seed != FirstRunSeed(trial, f.Index) {
+			t.Fatalf("failure seed %d does not match index %d (trial seed %d)", f.Seed, f.Index, trial)
 		}
 	}
 	if o.Second == nil {
@@ -83,7 +103,7 @@ func TestMultiRunToleratesIndividualFirstRunFailures(t *testing.T) {
 
 func TestMultiRunErrorsWhenAllFirstRunsFail(t *testing.T) {
 	prog, atomic := stuckProg()
-	o, err := MultiRunContext(context.Background(), prog, atomic, 3, 0, 99)
+	o, err := MultiRunContext(context.Background(), prog, 3, 99, randomCfg(atomic))
 	if err == nil {
 		t.Fatal("want error when every first run deadlocks")
 	}
@@ -99,25 +119,20 @@ func TestMultiRunErrorsWhenAllFirstRunsFail(t *testing.T) {
 }
 
 func TestMultiRunSecondRunFailurePropagates(t *testing.T) {
-	// All first runs succeed on surviving seeds, then the second run is
-	// driven into deadlock via its seed. abba seeds: reuse the discovered
-	// surviving/failing split.
+	// The one first run succeeds on a surviving seed, then the second run
+	// is driven into deadlock via the trial seed: find a trial whose first
+	// run survives and whose own seed deadlocks.
 	prog, atomic := abbaProg()
-	var good, bad []int64
-	for seed := int64(0); seed < 40; seed++ {
-		_, err := Run(prog, Config{Analysis: DCFirst, Seed: seed, Atomic: atomic})
-		if err != nil {
-			bad = append(bad, seed)
-		} else {
-			good = append(good, seed)
+	trial := int64(-1)
+	for s := int64(0); s < 40 && trial < 0; s++ {
+		if survives(prog, atomic, FirstRunSeed(s, 0)) && !survives(prog, atomic, s) {
+			trial = s
 		}
 	}
-	if len(good) == 0 || len(bad) == 0 {
+	if trial < 0 {
 		t.Skip("no seed mix")
 	}
-	// DCFirst and DCSecond share the executor and scheduler, so a seed's
-	// interleaving — and hence its deadlock — is identical across analyses.
-	o, err := MultiRunContext(context.Background(), prog, atomic, 1, good[0], bad[0])
+	o, err := MultiRunContext(context.Background(), prog, 1, trial, randomCfg(atomic))
 	if err == nil {
 		t.Fatal("want second-run failure")
 	}
@@ -131,7 +146,7 @@ func TestMultiRunContextCanceled(t *testing.T) {
 	prog, atomic := abbaProg()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MultiRunContext(ctx, prog, atomic, 5, 0, 99)
+	_, err := MultiRunContext(ctx, prog, 5, 99, randomCfg(atomic))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -180,19 +181,26 @@ func (r *Runner) refineFor(name string, kind refineKind) (*spec.Result, error) {
 	return res, nil
 }
 
-// multiRun executes the full multi-run pipeline for one logical trial:
-// FirstRuns first runs with derived seeds, union, one second run.
+// multiRun executes the full multi-run pipeline for one logical trial
+// through core.MultiRunContext. Unlike the library, the harness does not
+// tolerate a lost first run: every measured trial must be whole.
 func (r *Runner) multiRun(name string, sp *spec.Spec, trial int64) (*core.Result, error) {
-	var firsts []*core.Result
-	for i := 0; i < r.opts.FirstRuns; i++ {
-		res, err := r.run(name, core.DCFirst, sp, trial*1000+int64(i), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		firsts = append(firsts, res)
+	b, _, err := r.bench(name)
+	if err != nil {
+		return nil, err
 	}
-	filter := core.UnionFilter(firsts)
-	return r.run(name, core.DCSecond, sp, trial, nil, func(c *core.Config) { c.Filter = filter })
+	o, err := core.MultiRunContext(context.Background(), b.Prog, r.opts.FirstRuns, trial,
+		func(_ core.Analysis, seed int64) core.Config {
+			return core.Config{Sched: vm.NewSticky(seed, b.Stickiness), Atomic: sp.Atomic}
+		})
+	if err == nil && len(o.FirstFailures) > 0 {
+		f := o.FirstFailures[0]
+		err = fmt.Errorf("first run %d (seed %d): %w", f.Index, f.Seed, f.Err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s multi-run trial %d: %w", name, trial, err)
+	}
+	return o.Second, nil
 }
 
 // FinalSpec derives (and caches) the benchmark's final specification: the

@@ -107,7 +107,6 @@ const (
 	PaperSecondRun      = 2.4
 	PaperVeloSecondRun  = 2.9
 	PaperSecondAllUnary = 2.69 // 169% overhead
-	PaperVelodromePrior = 12.7 // the original Velodrome paper's slowdown
 )
 
 // Paper §5.4 numbers.

@@ -6,26 +6,15 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync"
 )
 
 // Logger is a nil-safe structured logger over log/slog. The nil *Logger
 // is a complete no-op, mirroring the telemetry registry contract: library
 // code logs unconditionally and stays silent unless a caller wired a
-// logger in. Context-taking variants stamp trace_id/span_id from the
-// context's current span so log lines correlate with traces.
+// logger in.
 type Logger struct {
 	sl  *slog.Logger
 	rec *FlightRecorder
-
-	// Per-key sampling state, shared across With/Sample derivatives so a
-	// key's admission count is global to the logger family.
-	samples *sampleState
-}
-
-type sampleState struct {
-	mu     sync.Mutex
-	counts map[string]uint64
 }
 
 // NewLogger builds a logger writing slog text lines at or above level to
@@ -33,11 +22,7 @@ type sampleState struct {
 // flight recorder holds the recent log history alongside span ends.
 func NewLogger(w io.Writer, level slog.Level, rec *FlightRecorder) *Logger {
 	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})
-	return &Logger{
-		sl:      slog.New(h),
-		rec:     rec,
-		samples: &sampleState{counts: make(map[string]uint64)},
-	}
+	return &Logger{sl: slog.New(h), rec: rec}
 }
 
 // ParseLevel maps a CLI flag value ("debug", "info", "warn", "error") to
@@ -55,95 +40,24 @@ func ParseLevel(s string) slog.Level {
 	}
 }
 
-// With returns a logger whose lines all carry the given attributes
-// (alternating key, value as in slog). Nil-safe.
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{sl: l.sl.With(args...), rec: l.rec, samples: l.samples}
-}
-
-// Sample admits the first and then every nth call per key: Sample(key,
-// 100) logs call 1, 101, 201... of that key. It returns the logger on
-// admitted calls and nil (a no-op logger) otherwise, so call sites read
-// naturally: l.Sample("icd.gc", 100).Debug(...). Nil-safe.
-func (l *Logger) Sample(key string, every int) *Logger {
-	if l == nil {
-		return nil
-	}
-	if every <= 1 {
-		return l
-	}
-	l.samples.mu.Lock()
-	n := l.samples.counts[key]
-	l.samples.counts[key] = n + 1
-	l.samples.mu.Unlock()
-	if n%uint64(every) == 0 {
-		return l
-	}
-	return nil
-}
-
-// Enabled reports whether the logger would emit at the given level.
-func (l *Logger) Enabled(level slog.Level) bool {
-	return l != nil && l.sl.Enabled(context.Background(), level)
-}
-
-// Debug logs at debug level. Nil-safe.
-func (l *Logger) Debug(msg string, args ...any) { l.log(nil, slog.LevelDebug, msg, args) }
-
 // Info logs at info level. Nil-safe.
-func (l *Logger) Info(msg string, args ...any) { l.log(nil, slog.LevelInfo, msg, args) }
+func (l *Logger) Info(msg string, args ...any) { l.log(slog.LevelInfo, msg, args) }
 
 // Warn logs at warn level. Nil-safe.
-func (l *Logger) Warn(msg string, args ...any) { l.log(nil, slog.LevelWarn, msg, args) }
+func (l *Logger) Warn(msg string, args ...any) { l.log(slog.LevelWarn, msg, args) }
 
 // Error logs at error level. Nil-safe.
-func (l *Logger) Error(msg string, args ...any) { l.log(nil, slog.LevelError, msg, args) }
+func (l *Logger) Error(msg string, args ...any) { l.log(slog.LevelError, msg, args) }
 
-// DebugCtx logs at debug level with trace correlation from ctx.
-func (l *Logger) DebugCtx(ctx context.Context, msg string, args ...any) {
-	l.log(ctx, slog.LevelDebug, msg, args)
-}
-
-// InfoCtx logs at info level with trace correlation from ctx.
-func (l *Logger) InfoCtx(ctx context.Context, msg string, args ...any) {
-	l.log(ctx, slog.LevelInfo, msg, args)
-}
-
-// WarnCtx logs at warn level with trace correlation from ctx.
-func (l *Logger) WarnCtx(ctx context.Context, msg string, args ...any) {
-	l.log(ctx, slog.LevelWarn, msg, args)
-}
-
-// ErrorCtx logs at error level with trace correlation from ctx.
-func (l *Logger) ErrorCtx(ctx context.Context, msg string, args ...any) {
-	l.log(ctx, slog.LevelError, msg, args)
-}
-
-func (l *Logger) log(ctx context.Context, level slog.Level, msg string, args []any) {
-	if l == nil {
-		return
-	}
-	var traceID string
-	var spanID uint64
-	if ctx != nil {
-		if sp := SpanFromContext(ctx); sp.Live() {
-			traceID, spanID = sp.TraceID(), sp.SpanID()
-			args = append(args, "trace_id", traceID, "span_id", spanID)
-		}
-	}
-	if !l.sl.Enabled(context.Background(), level) {
+func (l *Logger) log(level slog.Level, msg string, args []any) {
+	if l == nil || !l.sl.Enabled(context.Background(), level) {
 		return
 	}
 	l.sl.Log(context.Background(), level, msg, args...)
 	l.rec.Add(Event{
-		Kind:    EventLog,
-		Name:    strings.ToLower(level.String()),
-		Msg:     formatEventMsg(msg, args),
-		TraceID: traceID,
-		SpanID:  spanID,
+		Kind: EventLog,
+		Name: strings.ToLower(level.String()),
+		Msg:  formatEventMsg(msg, args),
 	})
 }
 

@@ -32,12 +32,6 @@ type Attr struct {
 	Val any
 }
 
-// Int builds an integer attribute.
-func Int(key string, v int64) Attr { return Attr{Key: key, Val: v} }
-
-// Str builds a string attribute.
-func Str(key, v string) Attr { return Attr{Key: key, Val: v} }
-
 // SpanRecord is one finished (or still-open) span as retained by the
 // trace. IDs are sequential within a trace; the root span is ID 1 and
 // Parent 0 means "no parent".
@@ -250,16 +244,7 @@ func (s Span) SetStr(key, v string) {
 	s.set(Attr{Key: key, Val: v})
 }
 
-// Set attaches several attributes at once. Prefer SetInt/SetStr on paths
-// that run per-event; the variadic slice here allocates.
-func (s Span) Set(attrs ...Attr) {
-	if s.tr == nil {
-		return
-	}
-	s.set(attrs...)
-}
-
-func (s Span) set(attrs ...Attr) {
+func (s Span) set(a Attr) {
 	t := s.tr
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -267,5 +252,5 @@ func (s Span) set(attrs ...Attr) {
 	if !ok {
 		return
 	}
-	t.spans[idx].Attrs = append(t.spans[idx].Attrs, attrs...)
+	t.spans[idx].Attrs = append(t.spans[idx].Attrs, a)
 }

@@ -32,38 +32,12 @@ func ReadFile(path string) (*Data, error) {
 // stream. Errors wrap ErrBadMagic, ErrVersion, ErrCorrupt, or ErrTruncated.
 func Read(r io.Reader) (*Data, error) {
 	br := bufio.NewReader(r)
-
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: file shorter than magic", ErrBadMagic)
-	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:])
-	}
-	version, err := readUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: unreadable version", ErrCorrupt)
-	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: file is v%d, this reader understands v%d",
-			ErrVersion, version, Version)
-	}
-
 	// One buffer holds each chunk's payload in turn: no decoder keeps a
 	// reference into a payload once it returns.
-	buf, ok, err := readChunk(br, br, nil)
-	if err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: missing header chunk", ErrCorrupt)
-	}
-	hdr, err := decodeHeader(buf)
+	hdr, buf, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	hdr.Version = int(version)
-
 	data := &Data{Header: *hdr}
 	st := decodeState{
 		nThreads: len(hdr.Program.Threads),
@@ -109,35 +83,42 @@ func Read(r io.Reader) (*Data, error) {
 // ReadHeader decodes only the header of a trace — enough for `dctrace info`
 // on large files without materializing the event stream.
 func ReadHeader(r io.Reader) (*Header, error) {
-	br := bufio.NewReader(r)
+	hdr, _, err := readHeader(bufio.NewReader(r))
+	return hdr, err
+}
+
+// readHeader decodes the magic, the version and the header chunk. It also
+// returns the header chunk's payload buffer, which Read reuses for the
+// chunks that follow.
+func readHeader(br *bufio.Reader) (*Header, []byte, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: file shorter than magic", ErrBadMagic)
+		return nil, nil, fmt.Errorf("%w: file shorter than magic", ErrBadMagic)
 	}
 	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:])
+		return nil, nil, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:])
 	}
 	version, err := readUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: unreadable version", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: unreadable version", ErrCorrupt)
 	}
 	if version != Version {
-		return nil, fmt.Errorf("%w: file is v%d, this reader understands v%d",
+		return nil, nil, fmt.Errorf("%w: file is v%d, this reader understands v%d",
 			ErrVersion, version, Version)
 	}
 	payload, ok, err := readChunk(br, br, nil)
 	if err != nil {
-		return nil, fmt.Errorf("header: %w", err)
+		return nil, nil, fmt.Errorf("header: %w", err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("%w: missing header chunk", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: missing header chunk", ErrCorrupt)
 	}
 	hdr, err := decodeHeader(payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hdr.Version = int(version)
-	return hdr, nil
+	return hdr, payload, nil
 }
 
 // PeekHeader decodes only the header from r without consuming the trace:

@@ -115,9 +115,6 @@ func NewExec(prog *Program, cfg Config) *Exec {
 	return e
 }
 
-// Prog returns the program under execution.
-func (e *Exec) Prog() *Program { return e.prog }
-
 // Now returns the global access clock: the Seq of the most recent Access
 // event. Checkers stamp transaction boundaries with it, so those stamps are
 // directly comparable with Access.Seq values.
@@ -133,16 +130,6 @@ func (e *Exec) Blocked(t ThreadID) bool {
 	default:
 		return true
 	}
-}
-
-// CurrentMethod returns the method executing on top of t's stack, or
-// NoMethod if the thread has no frames.
-func (e *Exec) CurrentMethod(t ThreadID) MethodID {
-	th := e.threads[t]
-	if len(th.frames) == 0 {
-		return NoMethod
-	}
-	return th.frames[len(th.frames)-1].m.ID
 }
 
 // InTx reports whether thread t is inside a regular transaction.

@@ -149,17 +149,15 @@ func TestPermitAccountingMultiple(t *testing.T) {
 // probeCtx records executor context queries at every access.
 type probeCtx struct {
 	NopInst
-	e       *Exec
-	inTx    []bool
-	txMeth  []MethodID
-	curMeth []MethodID
+	e      *Exec
+	inTx   []bool
+	txMeth []MethodID
 }
 
 func (p *probeCtx) ProgramStart(e ExecView) { p.e = e.(*Exec) }
 func (p *probeCtx) Access(Access) {
 	p.inTx = append(p.inTx, p.e.InTx(0))
 	p.txMeth = append(p.txMeth, p.e.TxMethod(0))
-	p.curMeth = append(p.curMeth, p.e.CurrentMethod(0))
 }
 
 func TestExecContextQueries(t *testing.T) {
@@ -196,12 +194,6 @@ func TestExecContextQueries(t *testing.T) {
 	}
 	if p.txMeth[1] != NoMethod {
 		t.Errorf("txMethod outside tx = %d, want NoMethod", p.txMeth[1])
-	}
-	if p.curMeth[2] != atomicID {
-		t.Errorf("currentMethod = %d", p.curMeth[2])
-	}
-	if p.e.Prog() != prog {
-		t.Error("Prog accessor")
 	}
 }
 

@@ -350,6 +350,40 @@ func TestMultiRunToleratesLostFirstRun(t *testing.T) {
 	}
 }
 
+// TestMultiRunSchedule pins the schedule a ModeMultiRun check runs: for
+// each trial seed s, first runs under core.FirstRunSeed(s, i) in order, then
+// the second run under s. perfbench's traced sparse-multi check hard-codes
+// the same seeds (s*1000+i), so traced and untraced checks run the same
+// schedules only while both follow this scheme.
+func TestMultiRunSchedule(t *testing.T) {
+	type run struct {
+		analysis core.Analysis
+		seed     int64
+	}
+	var got []run
+	opts := Options{Mode: ModeMultiRun, Trials: 2, FirstRuns: 4, Seed: 5}
+	opts.inject = func(a core.Analysis, seed int64, _ *core.Config) {
+		got = append(got, run{a, seed})
+	}
+	if _, err := CheckSource(racySource, opts); err != nil {
+		t.Fatal(err)
+	}
+	var want []run
+	for trial := int64(0); trial < 2; trial++ {
+		s := opts.Seed + trial
+		for i := 0; i < 4; i++ {
+			want = append(want, run{core.DCFirst, core.FirstRunSeed(s, i)})
+		}
+		want = append(want, run{core.DCSecond, s})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("runs %v,\nwant %v", got, want)
+	}
+	if got := core.FirstRunSeed(6, 3); got != 6003 {
+		t.Fatalf("FirstRunSeed(6, 3) = %d, want 6003 (seed*1000+i, as perfbench's traced check derives it)", got)
+	}
+}
+
 func TestTrialDeadlineBoundsLongTrial(t *testing.T) {
 	stallAll := func(a core.Analysis, seed int64, cfg *core.Config) {
 		cfg.WrapInst = func(in vm.Instrumentation) vm.Instrumentation {
