@@ -326,7 +326,7 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 	io.WriteString(stdout, core.ReplayReportFrom(o.path, r.entry.Program, r.hdr.Seed,
 		r.entry.Events, r.hdr.Source, r.entry.Violations, r.entry.Blamed))
 	if o.statsJSON {
-		stdout.Write(r.res.Telemetry.Deterministic().JSON())
+		stdout.Write(reg.Snapshot().Deterministic().JSON())
 	}
 	return nil
 }

@@ -23,12 +23,12 @@ import (
 // misses what Put left in this P's private slot. A run that misses rebuilds
 // its engine, about 10 bytes per entry more.
 //
-// Measured 113.5 bytes per log entry since the transaction manager counts
-// each logged edge occurrence instead of appending a mark, which held a
-// pointer, to each endpoint; 130.5 with the marks. The budget sits between
-// the two.
+// Measured 62.7 bytes per log entry since the transaction manager carves
+// each transaction's log from its thread's chunk; 113.5 when every log grew
+// by append from nil. The budget leaves about 7 bytes per entry of headroom,
+// under the cost of one run that misses the pool.
 func TestLoggingRunAllocBudget(t *testing.T) {
-	const budget = 122 // bytes per log entry
+	const budget = 70 // bytes per log entry
 	built, err := workloads.Build("xalan6", 2)
 	if err != nil {
 		t.Fatal(err)

@@ -142,8 +142,9 @@ type Config struct {
 	// cost summaries. Counters and gauges arrive when the run completes; an
 	// aborted run adds only spans and histograms. A shared registry
 	// accumulates across runs (that is how dcheck's -metrics-addr endpoint
-	// reports a whole session); when nil, a private registry is created per
-	// run so Result.Telemetry is always populated.
+	// reports a whole session), and its owner snapshots it when it needs to:
+	// the run leaves Result.Telemetry nil. When nil, the run creates a
+	// private registry and returns its snapshot in Result.Telemetry.
 	Telemetry *telemetry.Registry
 }
 
@@ -179,10 +180,11 @@ type Result struct {
 	// off-critical-path argument is about.
 	OffCriticalPathCost cost.Units
 
-	// Telemetry is the run's metric snapshot (never nil after a successful
-	// run). When Config.Telemetry was shared across runs the snapshot is
-	// cumulative; Snapshot.Deterministic strips the only nondeterministic
-	// fields (span wall times) for byte-stable comparison.
+	// Telemetry is the snapshot of the run's private registry, taken when
+	// the run ends: set whenever Config.Telemetry was nil, and nil when the
+	// caller passed a registry, which the caller snapshots itself.
+	// Snapshot.Deterministic strips the only nondeterministic fields (span
+	// wall times) for byte-stable comparison.
 	Telemetry *telemetry.Snapshot
 }
 
@@ -231,7 +233,8 @@ func run(ctx context.Context, prog *vm.Program, cfg Config, live bool,
 	if cfg.Meter != nil && cfg.MemoryBudget > 0 {
 		cfg.Meter.SetBudget(cfg.MemoryBudget)
 	}
-	if cfg.Telemetry == nil {
+	private := cfg.Telemetry == nil
+	if private {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	res := &Result{Analysis: cfg.Analysis, BlamedMethods: make(map[vm.MethodID]bool)}
@@ -254,21 +257,22 @@ func run(ctx context.Context, prog *vm.Program, cfg Config, live bool,
 	}
 	span.SetInt("vm.tx.ends", int64(res.VMStats.TxEnds))
 	span.End()
-	if err != nil {
-		res.Telemetry = cfg.Telemetry.Snapshot()
-		return res, err
+	if err == nil {
+		collectSpan, _ := obs.StartSpan(ctx, telemetry.SpanCoreCollect)
+		collect()
+		collectSpan.End()
+		finishResult(res, cfg, live)
+		runSpan.SetInt("violations", int64(len(res.Violations)))
 	}
-	collectSpan, _ := obs.StartSpan(ctx, telemetry.SpanCoreCollect)
-	collect()
-	collectSpan.End()
-	finishResult(res, cfg, live)
-	runSpan.SetInt("violations", int64(len(res.Violations)))
-	return res, nil
+	if private {
+		res.Telemetry = cfg.Telemetry.Snapshot()
+	}
+	return res, err
 }
 
 // finishResult derives the cross-analysis summary fields after collect:
-// the union of blamed methods, the meter's report, and the telemetry
-// snapshot.
+// the union of blamed methods and the meter's report, and publishes the
+// run's summary to the registry.
 func finishResult(res *Result, cfg Config, live bool) {
 	for _, v := range res.Violations {
 		for _, m := range v.BlamedMethods {
@@ -280,7 +284,6 @@ func finishResult(res *Result, cfg Config, live bool) {
 		res.Cost = cfg.Meter.Report()
 	}
 	publishRunTelemetry(cfg.Telemetry, res, live, cfg.Meter != nil)
-	res.Telemetry = cfg.Telemetry.Snapshot()
 }
 
 // publishRunTelemetry pushes the end-of-run summary quantities into the

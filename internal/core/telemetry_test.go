@@ -82,7 +82,9 @@ func TestTraceTelemetryDeterministic(t *testing.T) {
 }
 
 // TestRunTelemetryPrivateRegistry: with Config.Telemetry nil every run gets
-// its own registry, so two runs don't accumulate into each other.
+// its own registry, so two runs don't accumulate into each other. A run
+// given a registry leaves Result.Telemetry nil, and the registry's own
+// snapshot holds what the private one would have.
 func TestRunTelemetryPrivateRegistry(t *testing.T) {
 	a := replayGolden(t, "elevator.dct")
 	b := replayGolden(t, "elevator.dct")
@@ -92,6 +94,22 @@ func TestRunTelemetryPrivateRegistry(t *testing.T) {
 	}
 	if a.Telemetry.Counter(telemetry.VMFieldAccesses) == 0 {
 		t.Error("vm.accesses.field = 0 after a replay")
+	}
+
+	d, err := trace.ReadFile(filepath.Join("..", "..", "testdata", "traces", "elevator.dct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	shared, err := RunTrace(context.Background(), d, Config{Analysis: DCSingle, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Telemetry != nil {
+		t.Error("a run given a registry returned a snapshot")
+	}
+	if got, want := reg.Snapshot().Deterministic().JSON(), a.Telemetry.Deterministic().JSON(); !bytes.Equal(got, want) {
+		t.Errorf("the shared registry's snapshot differs from the private run's:\n%s\nwant\n%s", got, want)
 	}
 }
 

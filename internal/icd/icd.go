@@ -49,6 +49,8 @@ type Options struct {
 	// mode; nil instruments everything.
 	Filter *txn.Filter
 	// OnSCC receives each detected SCC (the potential atomicity violation).
+	// The slice is valid only during the call: the checker reuses its backing
+	// array for the next SCC, so a callee that keeps the members copies them.
 	OnSCC func(scc []*txn.Txn)
 	// GCPeriod runs transaction collection every N instrumented accesses;
 	// 0 uses the default (8192).
@@ -181,6 +183,7 @@ type Checker struct {
 	aggsFree []*compAgg
 
 	rootsBuf []*txn.Txn // GC root-set scratch
+	compBuf  []*txn.Txn // the member path's SCC hand-off buffer
 
 	stats   Stats
 	sinceGC uint64
@@ -631,9 +634,8 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 		}
 	} else {
 		// Member path: the OnSCC handoff needs the member slice, so
-		// extraction pays per member. The slice is retained downstream, so no
-		// backing-array reuse here.
-		comp = c.inc.CyclicComponent(tx, nil)
+		// extraction pays per member, into the reused buffer.
+		comp = c.inc.CyclicComponent(tx, c.compBuf[:0])
 		if comp == nil {
 			return
 		}
@@ -660,6 +662,8 @@ func (c *Checker) txnFinished(tx *txn.Txn) {
 	}
 	if comp != nil {
 		c.opts.OnSCC(comp)
+		clear(comp) // keep no transaction alive past the hand-off
+		c.compBuf = comp[:0]
 	}
 }
 

@@ -1,6 +1,7 @@
 package icd
 
 import (
+	"slices"
 	"testing"
 
 	"doublechecker/internal/cost"
@@ -40,7 +41,7 @@ func TestDetectsImpreciseSCCForRealCycle(t *testing.T) {
 	prog, script, atomic := racyIncrement()
 	var sccs [][]*txn.Txn
 	c := runICD(t, prog, vm.NewScripted(script, true), atomic,
-		Options{Logging: true, OnSCC: func(s []*txn.Txn) { sccs = append(sccs, s) }})
+		Options{Logging: true, OnSCC: func(s []*txn.Txn) { sccs = append(sccs, slices.Clone(s)) }})
 	if c.Stats().SCCs == 0 {
 		t.Fatal("ICD must detect an SCC for the racy interleaving")
 	}
@@ -137,7 +138,7 @@ func TestLoggingRecordsAccesses(t *testing.T) {
 	prog, script, atomic := racyIncrement()
 	var scc []*txn.Txn
 	runICD(t, prog, vm.NewScripted(script, true), atomic,
-		Options{Logging: true, OnSCC: func(s []*txn.Txn) { scc = s }})
+		Options{Logging: true, OnSCC: func(s []*txn.Txn) { scc = slices.Clone(s) }})
 	if scc == nil {
 		t.Fatal("no SCC")
 	}
@@ -154,7 +155,7 @@ func TestNoLoggingKeepsLogsEmpty(t *testing.T) {
 	prog, script, atomic := racyIncrement()
 	var scc []*txn.Txn
 	c := runICD(t, prog, vm.NewScripted(script, true), atomic,
-		Options{OnSCC: func(s []*txn.Txn) { scc = s }})
+		Options{OnSCC: func(s []*txn.Txn) { scc = slices.Clone(s) }})
 	if c.TxnStats().LogEntries != 0 {
 		t.Errorf("first-run mode must not log, recorded %d", c.TxnStats().LogEntries)
 	}

@@ -55,7 +55,7 @@ func newRefChecker(t *testing.T, label string, prog *vm.Program, cfg refConfig) 
 	r := &refChecker{t: t, label: label + "/" + cfg.name, logging: cfg.logging}
 	opts := Options{Logging: cfg.logging, GCPeriod: cfg.gc}
 	if cfg.logging {
-		opts.OnSCC = func(scc []*txn.Txn) { r.handed = append(r.handed, scc) }
+		opts.OnSCC = func(scc []*txn.Txn) { r.handed = append(r.handed, slices.Clone(scc)) }
 	}
 	r.Checker = NewChecker(prog, cost.NewMeter(cost.Default()), opts)
 	return r

@@ -62,8 +62,8 @@ type Checker struct {
 	perEntry, perEdge, perCycleNode cost.Units
 
 	violations []txn.Violation
-	seen       map[string]bool     // cycle identity (sorted txn IDs) dedup
-	seenTxns   map[uint64]struct{} // distinct txn IDs sent to PCD
+	seen       map[string]bool // cycle identity (sorted txn IDs) dedup
+	seenTxns   []uint64        // distinct txn IDs sent to PCD, a bitset by ID
 	stats      Stats
 	reg        *telemetry.Registry  // nil: no metrics, phase spans trace only
 	fieldMap   *telemetry.Histogram // pcd.field_map.size, nil without reg
@@ -117,11 +117,10 @@ func (c *Checker) tempAlloc(n int64) {
 // ignored (see its deprecation note).
 func NewChecker(meter *cost.Meter, _ ReplayOrder) *Checker {
 	c := &Checker{
-		meter:    meter,
-		seen:     make(map[string]bool),
-		seenTxns: make(map[uint64]struct{}),
-		fieldIx:  make(map[uint64]int32),
-		g:        pdg{edges: make(map[uint64]uint64)},
+		meter:   meter,
+		seen:    make(map[string]bool),
+		fieldIx: make(map[uint64]int32),
+		g:       pdg{edges: make(map[uint64]uint64)},
 	}
 	if meter != nil {
 		m := meter.Model()
@@ -280,8 +279,7 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		c.segs[i] = segState{node: c.g.addNode(tx)}
 		threads = max(threads, int(tx.Thread)+1)
 		entries += len(tx.Log)
-		if _, ok := c.seenTxns[tx.ID]; !ok {
-			c.seenTxns[tx.ID] = struct{}{}
+		if c.markSeen(tx.ID) {
 			c.stats.DistinctTxns++
 		}
 	}
@@ -320,6 +318,19 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		c.fieldMap.Observe(uint64(live))
 	}
 	return c.found
+}
+
+// markSeen adds a transaction ID to the seen-set and reports whether it was
+// new. A txn.Manager numbers its transactions densely from 1, so the bitset
+// grows to one bit per transaction of the run at most.
+func (c *Checker) markSeen(id uint64) bool {
+	w, bit := int(id/64), uint64(1)<<(id%64)
+	c.seenTxns = vm.Grow(c.seenTxns, w)
+	if c.seenTxns[w]&bit != 0 {
+		return false
+	}
+	c.seenTxns[w] |= bit
+	return true
 }
 
 // replayEntry replays entry e of member m.

@@ -54,8 +54,9 @@ func (c *Checker) refModel() cost.Model {
 }
 
 // refProcess is the map-based Process. A Checker used as the reference must
-// be fed through refProcess alone.
-func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
+// be fed through refProcess alone, with one seen map for all its calls: the
+// distinct transactions sent to it, counted apart from Process's bitset.
+func (c *Checker) refProcess(scc []*txn.Txn, seenTxns map[uint64]struct{}) []txn.Violation {
 	c.stats.SCCsProcessed++
 	c.stats.TxnsProcessed += uint64(len(scc))
 	span := c.reg.StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
@@ -63,8 +64,8 @@ func (c *Checker) refProcess(scc []*txn.Txn) []txn.Violation {
 	span.SetInt("scc_txns", int64(len(scc)))
 
 	for _, tx := range scc {
-		if _, ok := c.seenTxns[tx.ID]; !ok {
-			c.seenTxns[tx.ID] = struct{}{}
+		if _, ok := seenTxns[tx.ID]; !ok {
+			seenTxns[tx.ID] = struct{}{}
 			c.stats.DistinctTxns++
 		}
 	}
@@ -286,14 +287,16 @@ func refOrderBySeq(scc []*txn.Txn) []entryRef {
 type replayPair struct {
 	got, want       *Checker
 	gotReg, wantReg *telemetry.Registry
+	wantSeen        map[uint64]struct{} // refProcess's seen transactions
 }
 
 func newReplayPair() *replayPair {
 	p := &replayPair{
-		got:     NewChecker(cost.NewMeter(cost.Default()), BySeq),
-		want:    NewChecker(cost.NewMeter(cost.Default()), BySeq),
-		gotReg:  telemetry.NewRegistry(),
-		wantReg: telemetry.NewRegistry(),
+		got:      NewChecker(cost.NewMeter(cost.Default()), BySeq),
+		want:     NewChecker(cost.NewMeter(cost.Default()), BySeq),
+		gotReg:   telemetry.NewRegistry(),
+		wantReg:  telemetry.NewRegistry(),
+		wantSeen: make(map[uint64]struct{}),
 	}
 	p.got.SetTelemetry(p.gotReg)
 	p.want.SetTelemetry(p.wantReg)
@@ -303,7 +306,7 @@ func newReplayPair() *replayPair {
 // process replays scc on both checkers and fails at the first difference.
 func (p *replayPair) process(t testing.TB, label string, scc []*txn.Txn) {
 	t.Helper()
-	gk, wk := violationKeys(p.got.Process(scc)), violationKeys(p.want.refProcess(scc))
+	gk, wk := violationKeys(p.got.Process(scc)), violationKeys(p.want.refProcess(scc, p.wantSeen))
 	if !slices.Equal(gk, wk) {
 		t.Fatalf("%s: violations %v, reference %v", label, gk, wk)
 	}

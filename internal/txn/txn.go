@@ -24,6 +24,15 @@ const (
 	occBytes   = 8
 )
 
+// A logging manager keeps each thread's log entries in chunks of
+// chunkEntries entries and carves every new transaction's log from its
+// thread's current chunk. A thread whose chunk has fewer than minCarve
+// entries free takes a new chunk.
+const (
+	chunkEntries = 512
+	minCarve     = 16
+)
+
 // indexedOutDegree is the out-degree past which a transaction indexes its
 // successors. Below it EdgeTo scans Out, which beats hashing: at a dedup the
 // out-degree is at most 2 in 91–100% of calls on the benchmark programs. The
@@ -35,6 +44,7 @@ const indexedOutDegree = 32
 // execution) or a unary transaction (a maximal run of non-transactional
 // accesses uninterrupted by cross-thread communication).
 type Txn struct {
+	// ID numbers a manager's transactions densely from 1, in creation order.
 	ID       uint64
 	Thread   vm.ThreadID
 	Method   vm.MethodID // NoMethod for unary transactions
@@ -52,7 +62,8 @@ type Txn struct {
 	succ map[*Txn]*Edge
 
 	// Log is the transaction's ordered read/write log (only when the
-	// manager logs). Seq values are the VM's global access sequence.
+	// manager logs). Seq values are the VM's global access sequence. It
+	// starts as an empty carve of its thread's chunk (see Manager.carve).
 	Log []LogEntry
 
 	accesses    int  // accesses recorded (independent of log elision)
@@ -149,10 +160,17 @@ type Stats struct {
 	Swept       uint64
 }
 
-// fieldKey packs (obj, field) into one elision-table key. Both IDs are 32
-// bits wide, so the packing is injective.
-func fieldKey(obj vm.ObjectID, field vm.FieldID) uint64 {
-	return uint64(uint32(obj))<<32 | uint64(uint32(field))
+// fieldKey packs (obj, field, sync) into one elision-table key, as PCD keys
+// its per-field metadata: a sync access has its own space, so a monitor's
+// acquire and release never share a window with the monitor's field 0.
+// Object and field IDs are non-negative int32s (the trace reader and
+// vm.Program.Validate reject any other), so the packing is injective.
+func fieldKey(obj vm.ObjectID, field vm.FieldID, sync bool) uint64 {
+	k := uint64(obj)<<32 | uint64(field)<<1
+	if sync {
+		k |= 1
+	}
+	return k
 }
 
 // lastAccess is the per-(field, thread) elision timestamp (paper §4: "ICD
@@ -328,6 +346,9 @@ func (m *Manager) newTxn(t vm.ThreadID, method vm.MethodID, unary bool) *Txn {
 	tx.Method = method
 	tx.Unary = unary
 	tx.StartSeq = m.clock()
+	if m.logging {
+		tx.Log = m.carve(t)
+	}
 	m.all = append(m.all, tx)
 	m.alloc(txnBytes)
 	m.threadTS = vm.Grow(m.threadTS, int(t))
@@ -338,6 +359,22 @@ func (m *Manager) newTxn(t vm.ThreadID, method vm.MethodID, unary bool) *Txn {
 		m.stats.RegularTxns++
 	}
 	return tx
+}
+
+// carve returns the empty log of thread t's next transaction: the free tail
+// of the thread's previous transaction's log, or a new chunk when that tail
+// has fewer than minCarve entries. Call it before the new transaction
+// becomes the thread's current one. The previous transaction's log is final
+// once a later transaction of its thread starts, and its free tail belongs
+// to no other log: it is either the rest of the chunk it was carved from,
+// or the spare capacity of the array append moved it to when it outgrew its
+// carve. Chunks are never reused: a chunk is garbage once no transaction's
+// log points into it, as Collect drops a swept transaction's log.
+func (m *Manager) carve(t vm.ThreadID) []LogEntry {
+	if prev := m.cur(t); prev != nil && cap(prev.Log)-len(prev.Log) >= minCarve {
+		return prev.Log[len(prev.Log):len(prev.Log)]
+	}
+	return make([]LogEntry, 0, chunkEntries)
 }
 
 // finish marks tx finished and fires the callback.
@@ -554,7 +591,7 @@ func (m *Manager) Record(t vm.ThreadID, obj vm.ObjectID, field vm.FieldID, write
 			tab = make(map[uint64]lastAccess)
 			m.elide[t] = tab
 		}
-		key := fieldKey(obj, field)
+		key := fieldKey(obj, field, sync)
 		// A missing entry reads as timestamp 0, which is no window: newTxn
 		// bumps the thread's timestamp before its first access.
 		la, cur := tab[key], m.threadTS[t]
@@ -576,6 +613,7 @@ func (m *Manager) Record(t vm.ThreadID, obj vm.ObjectID, field vm.FieldID, write
 		la.ts = cur
 		tab[key] = la
 	}
+	// In place while the carve has room (see carve).
 	tx.Log = append(tx.Log, LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Seq: seq})
 	m.stats.LogEntries++
 	m.alloc(entryBytes)

@@ -167,6 +167,24 @@ func TestElisionPerThread(t *testing.T) {
 	}
 }
 
+// TestElisionKeepsSyncApartFromFieldZero: the VM emits a monitor's acquire
+// (sync read) and release (sync write) on field 0, so a data write of field
+// 0 of the same object must not elide them: PCD keeps sync accesses in their
+// own metadata space, and needs both to see the lock dependence.
+func TestElisionKeepsSyncApartFromFieldZero(t *testing.T) {
+	m := newMgr(true)
+	tx := m.BeginRegular(0, 1)
+	m.Record(0, 1, 0, true, false, 1) // wr o1.0
+	m.Record(0, 1, 0, false, true, 2) // acquire o1
+	m.Record(0, 1, 0, true, true, 3)  // release o1
+	if len(tx.Log) != 3 || !tx.Log[1].Sync || !tx.Log[2].Sync {
+		t.Fatalf("log = %v, want the data write and both sync accesses", tx.Log)
+	}
+	if st := m.Stats(); st.LogElided != 0 {
+		t.Errorf("elided %d accesses, want 0", st.LogElided)
+	}
+}
+
 func TestNoLoggingNoLog(t *testing.T) {
 	m := newMgr(false)
 	tx := m.BeginRegular(0, 1)
