@@ -36,11 +36,14 @@ import (
 // component's adjacency genuinely grows — the same allocation discipline the
 // txn manager applies to transaction nodes. Reset extends that discipline
 // across graphs: it empties the engine but keeps every slot, adjacency array
-// and scratch slice for the next graph.
+// and scratch slice for the next graph. A node carries its own slot, in a
+// word the caller's accessor hands the engine, so no operation hashes a
+// node.
 type IncSCC[N comparable] struct {
 	active  func(N) bool
+	slot    func(N) *int32
 	onMerge func(winner, loser N)
-	ids     map[N]int32
+	live    int
 	nodes   []incNode[N]
 	free    []int32
 	order   int
@@ -104,12 +107,15 @@ type IncSCCStats struct {
 // NewIncSCC returns an empty engine. active reports whether a node is
 // eligible for detection at the moment it first enters the graph (for ICD:
 // whether the transaction has finished); later eligibility changes must be
-// announced via Activate.
-func NewIncSCC[N comparable](active func(N) bool) *IncSCC[N] {
+// announced via Activate. slot returns the word where the engine keeps a
+// node's slot (for ICD: txn.Txn.Slot). Only the engine writes the word: it
+// holds the slot plus one while the node is live in the engine, and 0
+// otherwise, so a node the engine has not seen must read 0.
+func NewIncSCC[N comparable](active func(N) bool, slot func(N) *int32) *IncSCC[N] {
 	if active == nil {
 		active = func(N) bool { return true }
 	}
-	return &IncSCC[N]{active: active, ids: make(map[N]int32)}
+	return &IncSCC[N]{active: active, slot: slot}
 }
 
 // Stats returns work counters.
@@ -127,8 +133,8 @@ func (g *IncSCC[N]) SetOnMerge(f func(winner, loser N)) { g.onMerge = f }
 // union–find lookup, no member or edge walk. ok is false when n was never
 // seen by AddEdge/Activate.
 func (g *IncSCC[N]) Component(n N) (rep N, size int, cyclic, ok bool) {
-	s, found := g.ids[n]
-	if !found {
+	s := g.slotOf(n)
+	if s < 0 {
 		var zero N
 		return zero, 0, false, false
 	}
@@ -137,13 +143,17 @@ func (g *IncSCC[N]) Component(n N) (rep N, size int, cyclic, ok bool) {
 }
 
 // Nodes returns the number of live (non-released) nodes.
-func (g *IncSCC[N]) Nodes() int { return len(g.ids) }
+func (g *IncSCC[N]) Nodes() int { return g.live }
+
+// slotOf returns n's slot, or -1 when n is not live in the engine.
+func (g *IncSCC[N]) slotOf(n N) int32 { return *g.slot(n) - 1 }
 
 // ensure returns n's slot, creating it (recycling a released slot when one
 // is free) if needed.
 func (g *IncSCC[N]) ensure(n N) int32 {
-	if s, ok := g.ids[n]; ok {
-		return s
+	w := g.slot(n)
+	if *w != 0 {
+		return *w - 1
 	}
 	var s int32
 	if len(g.free) > 0 {
@@ -162,7 +172,8 @@ func (g *IncSCC[N]) ensure(n N) int32 {
 		succs: succs, preds: preds, pend: pend,
 	}
 	g.order++
-	g.ids[n] = s
+	g.live++
+	*w = s + 1
 	return s
 }
 
@@ -208,8 +219,8 @@ func (g *IncSCC[N]) AddEdge(src, dst N) {
 // otherwise. A node never seen by AddEdge needs no slot: its activity is
 // read from the activation predicate when it first appears.
 func (g *IncSCC[N]) Activate(n N) {
-	s, ok := g.ids[n]
-	if !ok {
+	s := g.slotOf(n)
+	if s < 0 {
 		return
 	}
 	nd := &g.nodes[s]
@@ -244,8 +255,8 @@ func (g *IncSCC[N]) Activate(n N) {
 // the component is cyclic (size > 1, or a self-loop), or nil otherwise. The
 // walk touches each member once and no edges.
 func (g *IncSCC[N]) CyclicComponent(n N, buf []N) []N {
-	s, ok := g.ids[n]
-	if !ok {
+	s := g.slotOf(n)
+	if s < 0 {
 		return nil
 	}
 	r := g.find(s)
@@ -268,23 +279,21 @@ func (g *IncSCC[N]) CyclicComponent(n N, buf []N) []N {
 // members are swept together); adjacency into released slots is dropped
 // lazily via generation checks.
 func (g *IncSCC[N]) Release(n N) {
-	s, ok := g.ids[n]
-	if !ok {
+	s := g.slotOf(n)
+	if s < 0 {
 		return
 	}
-	delete(g.ids, n)
 	g.retire(s)
 	g.free = append(g.free, s)
 }
 
 // Reset empties the engine for a new graph, keeping its storage: every live
-// slot is retired as Release retires it, every slot joins the free list
-// (lowest index on top, so a new graph fills slots in the order a fresh
-// engine would), the id map is cleared, and the topological order and the
-// work counters restart from zero. The activation predicate and the merge
-// hook stay.
+// slot is retired as Release retires it, which zeroes its node's slot word,
+// every slot joins the free list (lowest index on top, so a new graph fills
+// slots in the order a fresh engine would), and the topological order and
+// the work counters restart from zero. The activation predicate, the slot
+// accessor and the merge hook stay.
 func (g *IncSCC[N]) Reset() {
-	clear(g.ids)
 	g.free = g.free[:0]
 	for s := int32(len(g.nodes)) - 1; s >= 0; s-- {
 		if !g.nodes[s].dead {
@@ -296,11 +305,14 @@ func (g *IncSCC[N]) Reset() {
 	g.stats = IncSCCStats{}
 }
 
-// retire kills slot s: adjacency that still names it goes stale through the
-// generation bump, its lists are emptied with their capacity kept, and its
-// value is dropped so the engine retains nothing of the caller's.
+// retire kills slot s: its node's slot word goes back to 0, adjacency that
+// still names the slot goes stale through the generation bump, its lists are
+// emptied with their capacity kept, and its value is dropped so the engine
+// retains nothing of the caller's.
 func (g *IncSCC[N]) retire(s int32) {
 	nd := &g.nodes[s]
+	*g.slot(nd.val) = 0
+	g.live--
 	nd.dead = true
 	nd.gen++
 	nd.succs = nd.succs[:0]

@@ -41,6 +41,20 @@ func (m *incModel) refComponent(n int) []int {
 	return SCCFrom(n, m.succ, m.include)
 }
 
+// intSlots returns a slot accessor for int nodes: one word per node value,
+// kept across Reset as a caller's node fields are.
+func intSlots() func(int) *int32 {
+	words := make(map[int]*int32)
+	return func(n int) *int32 {
+		w := words[n]
+		if w == nil {
+			w = new(int32)
+			words[n] = w
+		}
+		return w
+	}
+}
+
 func sortedCopy(xs []int) []int {
 	out := append([]int(nil), xs...)
 	sort.Ints(out)
@@ -78,7 +92,7 @@ func checkAgainstRef(t *testing.T, g *IncSCC[int], m *incModel, ctx string) {
 
 func TestIncSCCDirected(t *testing.T) {
 	m := newIncModel()
-	g := NewIncSCC(func(n int) bool { return m.active[n] })
+	g := NewIncSCC(func(n int) bool { return m.active[n] }, intSlots())
 
 	addEdge := func(a, b int) {
 		m.succs[a] = append(m.succs[a], b)
@@ -170,7 +184,7 @@ func TestIncSCCDirected(t *testing.T) {
 // eligibility change with no new edges.
 func TestIncSCCActivationOrder(t *testing.T) {
 	m := newIncModel()
-	g := NewIncSCC(func(n int) bool { return m.active[n] })
+	g := NewIncSCC(func(n int) bool { return m.active[n] }, intSlots())
 	add := func(a, b int) {
 		m.succs[a] = append(m.succs[a], b)
 		if _, ok := m.succs[b]; !ok {
@@ -205,7 +219,7 @@ func TestIncSCCActivationOrder(t *testing.T) {
 // reported node 5's component as {5}; Tarjan finds {5, 10, 11}.
 func TestIncSCCCycleKeepsForwardSideOnTop(t *testing.T) {
 	m := newIncModel()
-	g := NewIncSCC(func(n int) bool { return m.active[n] })
+	g := NewIncSCC(func(n int) bool { return m.active[n] }, intSlots())
 	ops := []struct {
 		activate bool
 		a, b     int
@@ -245,7 +259,7 @@ func TestIncSCCCycleKeepsForwardSideOnTop(t *testing.T) {
 // forget surfaces as a wrong component.
 func TestIncSCCRandomized(t *testing.T) {
 	var m *incModel
-	g := NewIncSCC(func(n int) bool { return m.active[n] })
+	g := NewIncSCC(func(n int) bool { return m.active[n] }, intSlots())
 	for seed := int64(1); seed <= 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m = newIncModel()

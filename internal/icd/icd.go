@@ -352,7 +352,7 @@ func (c *Checker) ProgramStart(e vm.ExecView) {
 	}
 	c.arena, _ = arenas.Get().(*arena)
 	if c.arena == nil {
-		c.arena = &arena{inc: graph.NewIncSCC(eligible)}
+		c.arena = &arena{inc: graph.NewIncSCC(eligible, (*txn.Txn).Slot)}
 	}
 	if c.recycles() {
 		c.mgr.EnableRecycling()

@@ -73,15 +73,15 @@ type Checker struct {
 	// Replay working state. Process fills it and empties it again on
 	// return, keeping the capacity, so a stream of SCCs replays without
 	// rebuilding maps and slices per call.
-	scc        []*txn.Txn       // the SCC being replayed
-	replaySpan obs.Span         // trace handle of its pcd.replay span
-	found      []txn.Violation  // violations new in this call
-	runs       []member         // members with a log, by thread, then ID
-	heads      []head           // one merge head per thread run
-	fieldIx    map[uint64]int32 // fieldKey -> index into fields
-	fields     []fieldState     // last-access state per field, by index
-	segs       []segState       // current segment per SCC member, by position
-	chains     []int32          // latest replayed node per thread ID, or -1
+	scc        []*txn.Txn      // the SCC being replayed
+	replaySpan obs.Span        // trace handle of its pcd.replay span
+	found      []txn.Violation // violations new in this call
+	runs       []member        // members with a log, by thread, then ID
+	heads      []head          // one merge head per thread run
+	fieldAt    []int32         // by LogEntry.Var: 1 + the field's index in fields, or 0
+	fields     []fieldState    // last-access state per field, by index
+	segs       []segState      // current segment per SCC member, by position
+	chains     []int32         // latest replayed node per thread ID, or -1
 	g          pdg
 	search     graph.PathSearch
 	succ       graph.SuccFunc[int32] // PDG successors, charging PCDCycleNode
@@ -117,10 +117,8 @@ func (c *Checker) tempAlloc(n int64) {
 // ignored (see its deprecation note).
 func NewChecker(meter *cost.Meter, _ ReplayOrder) *Checker {
 	c := &Checker{
-		meter:   meter,
-		seen:    make(map[string]bool),
-		fieldIx: make(map[uint64]int32),
-		g:       pdg{edges: make(map[uint64]uint64)},
+		meter: meter,
+		seen:  make(map[string]bool),
 	}
 	if meter != nil {
 		m := meter.Model()
@@ -145,24 +143,15 @@ func (c *Checker) charge(u cost.Units) {
 	}
 }
 
-// fieldKey is PCD's per-field metadata key: the object, the field, and
-// whether the access is a sync access, which has its own metadata space (it
-// models the paper's per-object lock-release word). Object and field IDs
-// are non-negative int32s (the trace reader and vm.Program.Validate reject
-// any other), so the packing is injective.
-func fieldKey(e *txn.LogEntry) uint64 {
-	k := uint64(e.Obj)<<32 | uint64(e.Field)<<1
-	if e.Sync {
-		k |= 1
-	}
-	return k
-}
-
 // fieldState is one field's last-access information (Figure 5), holding
 // PDG nodes: W(f), the last writer, and R(T,f), the last reader of each
-// thread T since that write, kept sorted by thread.
+// thread T since that write, kept sorted by thread. A field is a LogEntry's
+// Var, the recording manager's number for (object, field, sync): a sync
+// access has its own metadata space (it models the paper's per-object
+// lock-release word).
 type fieldState struct {
-	write   int32 // W(f), or -1
+	v       uint32 // the field's Var
+	write   int32  // W(f), or -1
 	writeTh vm.ThreadID
 	readers []reader
 }
@@ -186,20 +175,21 @@ func (f *fieldState) read(th vm.ThreadID, node int32) {
 	f.readers = slices.Insert(f.readers, i, reader{th: th, node: node})
 }
 
-// field returns the replay state of key k, assigning it the next dense
+// field returns the replay state of field v, assigning it the next dense
 // index on first use in this Process call.
-func (c *Checker) field(k uint64) *fieldState {
-	i, ok := c.fieldIx[k]
-	if !ok {
+func (c *Checker) field(v uint32) *fieldState {
+	c.fieldAt = vm.Grow(c.fieldAt, int(v))
+	i := c.fieldAt[v] - 1
+	if i < 0 {
 		i = int32(len(c.fields))
-		c.fieldIx[k] = i
+		c.fieldAt[v] = i + 1
 		if len(c.fields) < cap(c.fields) {
 			// Reuse the released slot and its readers array.
 			c.fields = c.fields[:i+1]
 			f := &c.fields[i]
-			f.write, f.readers = -1, f.readers[:0]
+			f.v, f.write, f.readers = v, -1, f.readers[:0]
 		} else {
-			c.fields = append(c.fields, fieldState{write: -1})
+			c.fields = append(c.fields, fieldState{v: v, write: -1})
 		}
 	}
 	return &c.fields[i]
@@ -209,9 +199,16 @@ func (c *Checker) field(k uint64) *fieldState {
 // is an index: the SCC members come first, by position, and fresh unary
 // segments follow in the order the replay cuts them.
 type pdg struct {
-	nodes []*txn.Txn        // node -> transaction
-	succs [][]int32         // successors in insertion order, by node
-	edges map[uint64]uint64 // src<<32|dst -> edge order (first occurrence)
+	nodes []*txn.Txn // node -> transaction
+	succs [][]int32  // successors in insertion order, by node
+	edges []pdgEdge  // every edge, in insertion order
+}
+
+// pdgEdge is one PDG edge and the order of its first occurrence, which
+// blame assignment reads.
+type pdgEdge struct {
+	src, dst int32
+	order    uint64
 }
 
 // addNode appends tx as a node, reusing a released successor list.
@@ -228,23 +225,32 @@ func (g *pdg) addNode(tx *txn.Txn) int32 {
 }
 
 // add inserts an edge with the given order if absent; reports whether it was
-// new.
+// new. It scans src's successors newest first, as txn.Txn.EdgeTo scans a
+// transaction's out-edges.
 func (g *pdg) add(src, dst int32, order uint64) bool {
 	if src == dst {
 		return false
 	}
-	k := uint64(src)<<32 | uint64(dst)
-	if _, ok := g.edges[k]; ok {
-		return false
+	succs := g.succs[src]
+	for i := len(succs) - 1; i >= 0; i-- {
+		if succs[i] == dst {
+			return false
+		}
 	}
-	g.edges[k] = order
-	g.succs[src] = append(g.succs[src], dst)
+	g.succs[src] = append(succs, dst)
+	g.edges = append(g.edges, pdgEdge{src: src, dst: dst, order: order})
 	return true
 }
 
+// order returns the order of edge src -> dst, scanning the edge list. Only
+// blame asks, for the edges of a cycle not seen before.
 func (g *pdg) order(src, dst int32) (uint64, bool) {
-	o, ok := g.edges[uint64(src)<<32|uint64(dst)]
-	return o, ok
+	for _, e := range g.edges {
+		if e.src == src && e.dst == dst {
+			return e.order, true
+		}
+	}
+	return 0, false
 }
 
 // segState tracks the current PDG node ("segment") of one replayed
@@ -264,13 +270,22 @@ type segState struct {
 
 // Process replays one SCC and records any precise violations. It returns
 // the violations newly found in this SCC (already added to Violations).
+// Replay reads each log entry's field as its Var, and counts distinct
+// transactions by ID, and both numberings are a txn.Manager's: one Checker
+// replays the logs of one manager.
 func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
+	defer c.release()
+	return c.replay(scc)
+}
+
+// replay is Process short of its release: the call's PDG and field state
+// stay in the working state until release empties it.
+func (c *Checker) replay(scc []*txn.Txn) []txn.Violation {
 	c.stats.SCCsProcessed++
 	c.stats.TxnsProcessed += uint64(len(scc))
 	span := c.reg.StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
 	defer span.End()
 	span.SetInt("scc_txns", int64(len(scc)))
-	defer c.release()
 	c.scc, c.replaySpan = scc, span.Trace()
 
 	c.segs = slices.Grow(c.segs[:0], len(scc))[:len(scc)]
@@ -337,7 +352,7 @@ func (c *Checker) markSeen(id uint64) bool {
 func (c *Checker) replayEntry(m int32, e *txn.LogEntry) {
 	c.stats.EntriesReplayed++
 	c.charge(c.perEntry)
-	f := c.field(fieldKey(e))
+	f := c.field(e.Var)
 	st := &c.segs[m]
 	tx := c.scc[m]
 	th := tx.Thread
@@ -496,14 +511,16 @@ func (c *Checker) release() {
 	c.scc, c.replaySpan, c.found = nil, obs.Span{}, nil
 	c.runs = c.runs[:0]
 	c.heads = c.heads[:0]
-	clear(c.fieldIx)
+	for i := range c.fields {
+		c.fieldAt[c.fields[i].v] = 0
+	}
 	c.fields = c.fields[:0]
 	c.segs = c.segs[:0]
 	c.chains = c.chains[:0]
 	clear(c.g.nodes)
 	c.g.nodes = c.g.nodes[:0]
 	c.g.succs = c.g.succs[:0]
-	clear(c.g.edges)
+	c.g.edges = c.g.edges[:0]
 }
 
 // addPDGEdge inserts a precise dependence edge and checks for a cycle

@@ -27,8 +27,9 @@ import (
 // per call, sorts the entries by Seq, and searches with graph.FindPath. Its
 // logic is the earlier code's; only names, comments, and the pointer-keyed
 // types kept here under ref names changed. It is the reference Process must
-// match on every SCC: violations, Stats, metered cost and the
-// pcd.field_map.size observation.
+// match on every SCC: violations, Stats, metered cost, the
+// pcd.field_map.size observation, the PDG's edges with their orders, and
+// the edge orders blame reads for each violation.
 
 // refFieldKey is the per-field metadata key of the map-based replay.
 type refFieldKey struct {
@@ -53,10 +54,11 @@ func (c *Checker) refModel() cost.Model {
 	return cost.Model{}
 }
 
-// refProcess is the map-based Process. A Checker used as the reference must
-// be fed through refProcess alone, with one seen map for all its calls: the
-// distinct transactions sent to it, counted apart from Process's bitset.
-func (c *Checker) refProcess(scc []*txn.Txn, seenTxns map[uint64]struct{}) []txn.Violation {
+// refProcess is the map-based Process; it also returns the call's PDG. A
+// Checker used as the reference must be fed through refProcess alone, with
+// one seen map for all its calls: the distinct transactions sent to it,
+// counted apart from Process's bitset.
+func (c *Checker) refProcess(scc []*txn.Txn, seenTxns map[uint64]struct{}) ([]txn.Violation, *refPDG) {
 	c.stats.SCCsProcessed++
 	c.stats.TxnsProcessed += uint64(len(scc))
 	span := c.reg.StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
@@ -165,7 +167,7 @@ func (c *Checker) refProcess(scc []*txn.Txn, seenTxns map[uint64]struct{}) []txn
 	if c.fieldMap != nil {
 		c.fieldMap.Observe(uint64(len(lastWrite) + len(lastReads)))
 	}
-	return found
+	return found, g
 }
 
 // refAddPDGEdge is the map-based addPDGEdge.
@@ -249,6 +251,56 @@ func (g *refPDG) order(src, dst *txn.Txn) (uint64, bool) {
 	return o, ok
 }
 
+// pdgEdgeKey is one PDG edge by its endpoints' transaction IDs, with its
+// order: the form in which both replays' edges are compared.
+type pdgEdgeKey struct{ src, dst, order uint64 }
+
+func sortEdgeKeys(ks []pdgEdgeKey) []pdgEdgeKey {
+	slices.SortFunc(ks, func(a, b pdgEdgeKey) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.order, b.order))
+	})
+	return ks
+}
+
+// edgeKeys lists the reference PDG's edges, sorted.
+func (g *refPDG) edgeKeys() []pdgEdgeKey {
+	var ks []pdgEdgeKey
+	for src, m := range g.adj {
+		for dst, o := range m {
+			ks = append(ks, pdgEdgeKey{src.ID, dst.ID, o})
+		}
+	}
+	return sortEdgeKeys(ks)
+}
+
+// blameOrders is the order of each of v's cycle edges in the reference PDG.
+func (g *refPDG) blameOrders(v txn.Violation) []uint64 {
+	ords := make([]uint64, len(v.Cycle))
+	for i, tx := range v.Cycle {
+		ords[i], _ = g.order(tx, v.Cycle[(i+1)%len(v.Cycle)])
+	}
+	return ords
+}
+
+// edgeKeys lists the PDG edges of the call replay has just made, sorted.
+func (c *Checker) edgeKeys() []pdgEdgeKey {
+	ks := make([]pdgEdgeKey, len(c.g.edges))
+	for i, e := range c.g.edges {
+		ks[i] = pdgEdgeKey{c.g.nodes[e.src].ID, c.g.nodes[e.dst].ID, e.order}
+	}
+	return sortEdgeKeys(ks)
+}
+
+// blameOrders is the order of each of v's cycle edges as blame reads them,
+// in the call replay has just made.
+func (c *Checker) blameOrders(v txn.Violation) []uint64 {
+	ords := make([]uint64, len(v.Cycle))
+	for i, tx := range v.Cycle {
+		ords[i], _ = c.g.order(int32(slices.Index(c.g.nodes, tx)), int32(slices.Index(c.g.nodes, v.Cycle[(i+1)%len(v.Cycle)])))
+	}
+	return ords
+}
+
 // sortedThreads returns a reader map's thread keys in ascending order.
 func sortedThreads(m map[vm.ThreadID]*txn.Txn) []vm.ThreadID {
 	if len(m) == 0 {
@@ -306,9 +358,25 @@ func newReplayPair() *replayPair {
 // process replays scc on both checkers and fails at the first difference.
 func (p *replayPair) process(t testing.TB, label string, scc []*txn.Txn) {
 	t.Helper()
-	gk, wk := violationKeys(p.got.Process(scc)), violationKeys(p.want.refProcess(scc, p.wantSeen))
+	got := p.got.replay(scc)
+	gotEdges := p.got.edgeKeys()
+	gotOrds := make([][]uint64, len(got))
+	for i, v := range got {
+		gotOrds[i] = p.got.blameOrders(v)
+	}
+	p.got.release()
+	want, wantPDG := p.want.refProcess(scc, p.wantSeen)
+	gk, wk := violationKeys(got), violationKeys(want)
 	if !slices.Equal(gk, wk) {
 		t.Fatalf("%s: violations %v, reference %v", label, gk, wk)
+	}
+	if we := wantPDG.edgeKeys(); !slices.Equal(gotEdges, we) {
+		t.Fatalf("%s: PDG edges %v, reference %v", label, gotEdges, we)
+	}
+	for i, v := range want {
+		if wo := wantPDG.blameOrders(v); !slices.Equal(gotOrds[i], wo) {
+			t.Fatalf("%s: violation %s: blame read edge orders %v, reference %v", label, gk[i], gotOrds[i], wo)
+		}
 	}
 	if gs, ws := p.got.Stats(), p.want.Stats(); gs != ws {
 		t.Fatalf("%s: stats %+v, reference %+v", label, gs, ws)
@@ -437,5 +505,43 @@ func TestBySeqMergesUnsortedMembers(t *testing.T) {
 	}
 	if violations == 0 {
 		t.Fatal("no SCC had a violation; the check is vacuous")
+	}
+}
+
+// TestOneWriterManyReaders replays an SCC in which one transaction's write
+// is read by the transactions of many threads, twice each, against the
+// reference. The writer's PDG node gains one successor per reader, and each
+// second read re-adds an edge that sits deep in that list, so the
+// newest-first dedup scan runs long and must still find it.
+func TestOneWriterManyReaders(t *testing.T) {
+	const readers = 48
+	e := newEnv()
+	w := e.begin(0, 1)
+	e.access(0, 1, 0, true) // W wr x
+	scc := []*txn.Txn{w}
+	for th := vm.ThreadID(1); th <= readers; th++ {
+		scc = append(scc, e.begin(th, vm.MethodID(th%4+2)))
+	}
+	for round := 0; round < 2; round++ {
+		for th := vm.ThreadID(1); th <= readers; th++ {
+			// The edge opens a new elision window, so the second read is
+			// logged too.
+			e.edge(w, scc[th])
+			e.access(th, 1, 0, false) // R rd x
+		}
+	}
+	for th := vm.ThreadID(1); th <= readers; th++ {
+		e.access(th, 2, 0, true) // R wr y
+		e.end(th)
+	}
+	e.access(0, 2, 0, false) // W rd y: closes a cycle through the last writer
+	e.end(0)
+
+	p := newReplayPair()
+	p.process(t, "one writer, many readers", scc)
+	st := p.got.Stats()
+	if st.PDGEdges < readers || len(p.got.Violations()) == 0 {
+		t.Fatalf("%d PDG edges and %d violations; want at least %d edges and a violation",
+			st.PDGEdges, len(p.got.Violations()), readers)
 	}
 }

@@ -32,6 +32,7 @@ func FuzzRead(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add(accessTrace(f, []uint64{1<<32 + 3}, []uint64{1}))
+	f.Add(objectsTrace(f, -5, 100_000_000))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 1<<20 {
 			t.Skip("oversized input")

@@ -101,3 +101,78 @@ func TestReaderRejectsUnwritableOperands(t *testing.T) {
 		})
 	}
 }
+
+// objectsTrace hand-builds a trace whose header declares a one-thread
+// program of numObjects objects, encoded as NewWriter encodes a header but
+// without validating the program. Its one event chunk starts thread 0,
+// which then writes field 0 of object obj three times.
+func objectsTrace(t testing.TB, numObjects int, obj uint64) []byte {
+	t.Helper()
+	prog := &vm.Program{
+		Name:       "objects",
+		NumObjects: numObjects,
+		Methods:    []*vm.Method{{ID: 0, Name: "main"}},
+		Threads:    []vm.ThreadDecl{{ID: 0, Entry: 0, AutoStart: true}},
+	}
+	var progEnc, spec, payload buf
+	encodeProgram(&progEnc, prog)
+	spec.uvarint(0) // no atomic methods
+	payload.uvarint(uint64(progEnc.len()))
+	payload.bytes(progEnc.b)
+	payload.bytes(spec.b)
+	payload.varint(0)  // seed
+	payload.string("") // scheduler
+	payload.string("") // source
+	payload.uvarint(digest64(progEnc.b))
+	payload.uvarint(digest64(spec.b))
+	var ver, ev, trailer buf
+	ver.uvarint(Version)
+	ev.byte(opThreadStart)
+	ev.uvarint(0)
+	for i := 0; i < 3; i++ {
+		ev.byte(opAccessBase | byte(vm.ClassField)<<1 | 1)
+		ev.uvarint(0)
+		ev.uvarint(obj)
+		ev.uvarint(0)
+		ev.uvarint(1)
+	}
+	encodeCounts(&trailer, vm.EventCounts{ThreadStarts: 1, FieldAccesses: 3})
+	out := bytes.NewBufferString(Magic)
+	out.Write(ver.b)
+	for _, err := range []error{writeChunk(out, payload.b), writeChunk(out, ev.b), writeEndMarker(out), writeChunk(out, trailer.b)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestReaderRejectsObjectCountsOutsideObjectIDs: a header whose program
+// declares a negative object count, or more objects and thread handles than
+// int32 IDs can name, is corrupt. Before vm.Program.Validate rejected them,
+// a count of -5 wrapped the reader's object-range check, and the trace
+// decoded with its accesses to object 100,000,000 intact.
+func TestReaderRejectsObjectCountsOutsideObjectIDs(t *testing.T) {
+	cases := []struct {
+		name       string
+		numObjects int
+		obj        uint64
+		corrupt    bool
+	}{
+		{"one-object", 1, 0, false},
+		{"negative", -5, 100_000_000, true},
+		{"handle-past-int32", math.MaxInt32, 0, true},
+		{"past-int32", 1 << 31, 0, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(objectsTrace(t, tc.numObjects, tc.obj)))
+			switch {
+			case tc.corrupt && !errors.Is(err, ErrCorrupt):
+				t.Fatalf("got error %v, want ErrCorrupt", err)
+			case !tc.corrupt && err != nil:
+				t.Fatalf("valid trace rejected: %v", err)
+			}
+		})
+	}
+}

@@ -14,7 +14,9 @@ import (
 // its own append-built copy of every transaction's log, and compares each
 // log with it when Collect sweeps the transaction or, for the survivors, at
 // the end. A carve that overlaps an earlier transaction's entries rewrites
-// them, and the comparison names the transaction.
+// them, and the comparison names the transaction. The copy numbers each
+// entry's field as Manager.Var must: densely from 0, in the order Record
+// first sees each (obj, field, sync), elided or not.
 func TestCarvedLogsMatchReference(t *testing.T) {
 	var outgrown, midChunk int
 	for seed := int64(1); seed <= 30; seed++ {
@@ -22,6 +24,12 @@ func TestCarvedLogsMatchReference(t *testing.T) {
 		threads := 2 + rng.Intn(5)
 		m := NewManager(true, nil, nil)
 		ref := make(map[*Txn][]LogEntry)
+		type fieldRef struct {
+			obj   vm.ObjectID
+			field vm.FieldID
+			sync  bool
+		}
+		vars := make(map[fieldRef]uint32)
 		check := func(tx *Txn, when string) {
 			if !slices.Equal(tx.Log, ref[tx]) {
 				t.Fatalf("seed %d: %s's log %s differs from its appended copy:\ngot  %v\nwant %v",
@@ -46,11 +54,16 @@ func TestCarvedLogsMatchReference(t *testing.T) {
 		record := func(th vm.ThreadID, obj vm.ObjectID) {
 			seq++
 			field, write, sync := vm.FieldID(rng.Intn(2)), rng.Intn(2) == 0, rng.Intn(8) == 0
+			v, ok := vars[fieldRef{obj, field, sync}]
+			if !ok {
+				v = uint32(len(vars))
+				vars[fieldRef{obj, field, sync}] = v
+			}
 			before := m.Stats().LogEntries
 			tx := m.Record(th, obj, field, write, sync, seq)
 			seen(tx)
 			if m.Stats().LogEntries != before {
-				ref[tx] = append(ref[tx], LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Seq: seq})
+				ref[tx] = append(ref[tx], LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Var: v, Seq: seq})
 			}
 		}
 		inTx := make([]bool, threads)

@@ -71,8 +71,14 @@ type Txn struct {
 	interrupted bool // a cross-thread edge touched this (unary) transaction
 	marked      bool // GC scratch
 	dead        bool
-	finIn       bool // has an incoming edge whose source has finished
+	finIn       bool  // has an incoming edge whose source has finished
+	slot        int32 // the SCC engine's word (see Slot); after the bools, so a Txn stays 128 bytes
 }
+
+// Slot returns the word in which an SCC engine (graph.IncSCC) keeps the
+// transaction's node slot, so that the engine finds a transaction's node
+// without hashing it. Only the engine writes it; a new transaction's reads 0.
+func (t *Txn) Slot() *int32 { return &t.slot }
 
 // Accesses returns how many accesses executed in this transaction
 // (regardless of log elision or whether logging is enabled).
@@ -136,7 +142,12 @@ type LogEntry struct {
 	Field vm.FieldID
 	Write bool
 	Sync  bool // synchronization access (lock/handle object)
-	Seq   uint64
+	// Var is the recording manager's dense number for (Obj, Field, Sync)
+	// (see Manager.Var). It fits the padding after Sync, so an entry stays
+	// 24 bytes. Numbers are per manager: one pcd.Checker replays the logs of
+	// one manager.
+	Var uint32
+	Seq uint64
 }
 
 func (e LogEntry) String() string {
@@ -160,11 +171,11 @@ type Stats struct {
 	Swept       uint64
 }
 
-// fieldKey packs (obj, field, sync) into one elision-table key, as PCD keys
-// its per-field metadata: a sync access has its own space, so a monitor's
-// acquire and release never share a window with the monitor's field 0.
-// Object and field IDs are non-negative int32s (the trace reader and
-// vm.Program.Validate reject any other), so the packing is injective.
+// fieldKey packs (obj, field, sync) into Manager.Var's key: a sync access
+// has its own space, so a monitor's acquire and release never share a
+// number with the monitor's field 0. Object and field IDs are non-negative
+// int32s (the trace reader and vm.Program.Validate reject any other), so
+// the packing is injective.
 func fieldKey(obj vm.ObjectID, field vm.FieldID, sync bool) uint64 {
 	k := uint64(obj)<<32 | uint64(field)<<1
 	if sync {
@@ -173,12 +184,13 @@ func fieldKey(obj vm.ObjectID, field vm.FieldID, sync bool) uint64 {
 	return k
 }
 
-// lastAccess is the per-(field, thread) elision timestamp (paper §4: "ICD
+// lastAccess is one thread's elision timestamp for one field (paper §4: "ICD
 // tracks, for each field, the value of a per-thread timestamp of the last
 // access (and whether it was a read or write)").
 type lastAccess struct {
-	ts    uint64
+	th    vm.ThreadID
 	wrote bool
+	ts    uint64
 }
 
 // Manager creates transactions, maintains per-thread currents, adds edges,
@@ -222,9 +234,12 @@ type Manager struct {
 	freeEdges []*Edge
 	gcStack   []*Txn // Collect's mark-stack scratch, reused across collections
 
-	// elide holds each thread's elision table, keyed by fieldKey; threadTS
-	// each thread's elision timestamp. Both are indexed by thread ID.
-	elide    []map[uint64]lastAccess
+	// vars numbers each (obj, field, sync) densely, by fieldKey (see Var).
+	vars map[uint64]uint32
+	// elide holds, by Var, each field's elision timestamps: one per thread
+	// that recorded the field, in the order the threads first did. threadTS
+	// holds each thread's elision timestamp, by thread ID.
+	elide    [][]lastAccess
 	threadTS []uint64
 
 	stats Stats
@@ -575,6 +590,24 @@ func (m *Manager) bumpTS(tx *Txn) {
 	}
 }
 
+// Var returns the manager's dense number for field (obj, field, sync): the
+// first key it sees is 0, the next new one 1, and so on. A sync access has a
+// number apart from the object's field 0. Per-field state indexed by Var
+// needs no hashing past this one map, and grows with the fields a run
+// touches.
+func (m *Manager) Var(obj vm.ObjectID, field vm.FieldID, sync bool) uint32 {
+	k := fieldKey(obj, field, sync)
+	v, ok := m.vars[k]
+	if !ok {
+		if m.vars == nil {
+			m.vars = make(map[uint64]uint32)
+		}
+		v = uint32(len(m.vars))
+		m.vars[k] = v
+	}
+	return v
+}
+
 // Record appends an access to thread t's current transaction's log (if
 // logging), applying duplicate elision, and returns the transaction. sync
 // marks synchronization accesses.
@@ -584,43 +617,50 @@ func (m *Manager) Record(t vm.ThreadID, obj vm.ObjectID, field vm.FieldID, write
 	if !m.logging {
 		return tx
 	}
-	if !m.noElide {
-		m.elide = vm.Grow(m.elide, int(t))
-		tab := m.elide[t]
-		if tab == nil {
-			tab = make(map[uint64]lastAccess)
-			m.elide[t] = tab
+	v := m.Var(obj, field, sync)
+	if !m.noElide && m.elided(t, v, write) {
+		m.stats.LogElided++
+		if m.meter != nil {
+			m.meter.Charge(m.model.LogElide)
 		}
-		key := fieldKey(obj, field, sync)
-		// A missing entry reads as timestamp 0, which is no window: newTxn
-		// bumps the thread's timestamp before its first access.
-		la, cur := tab[key], m.threadTS[t]
-		if la.ts == cur && (!write || la.wrote) {
-			// Same elision window and no new information: a read is covered
-			// by any prior recorded access; a write is covered by a prior
-			// write.
-			m.stats.LogElided++
-			if m.meter != nil {
-				m.meter.Charge(m.model.LogElide)
-			}
-			return tx
-		}
-		if la.ts == cur {
-			la.wrote = la.wrote || write
-		} else {
-			la.wrote = write
-		}
-		la.ts = cur
-		tab[key] = la
+		return tx
 	}
 	// In place while the carve has room (see carve).
-	tx.Log = append(tx.Log, LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Seq: seq})
+	tx.Log = append(tx.Log, LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Var: v, Seq: seq})
 	m.stats.LogEntries++
 	m.alloc(entryBytes)
 	if m.meter != nil {
 		m.meter.Charge(m.model.LogAppend)
 	}
 	return tx
+}
+
+// elided reports whether thread t's access to field v falls in the thread's
+// current elision window with no new information: a read is covered by any
+// access the window recorded, a write by a recorded write. Otherwise it
+// records the access in the window.
+func (m *Manager) elided(t vm.ThreadID, v uint32, write bool) bool {
+	m.elide = vm.Grow(m.elide, int(v))
+	cur := m.threadTS[t]
+	las := m.elide[v]
+	for i := range las {
+		la := &las[i]
+		if la.th != t {
+			continue
+		}
+		if la.ts == cur {
+			if !write || la.wrote {
+				return true
+			}
+			la.wrote = true
+			return false
+		}
+		la.ts, la.wrote = cur, write
+		return false
+	}
+	// The thread's first access to v.
+	m.elide[v] = append(las, lastAccess{th: t, wrote: write, ts: cur})
+	return false
 }
 
 // Collect sweeps transactions that can never participate in a future cycle:

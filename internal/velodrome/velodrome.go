@@ -18,6 +18,12 @@
 // deterministic interpreter the variant cannot actually miss dependences
 // (every step is atomic), so it differs only in cost — precisely the point
 // of comparing against it.
+//
+// The metadata is indexed the way DoubleChecker's per-field state is: the
+// run's txn.Manager numbers each field densely (Manager.Var), a slice holds
+// one cell per number, and each cell keeps its readers in a short slice
+// sorted by thread. An access hashes its field once, in Var, and a write
+// meets its readers in thread order without sorting them.
 package velodrome
 
 import (
@@ -31,18 +37,42 @@ import (
 	"doublechecker/internal/vm"
 )
 
-// fieldKey identifies one metadata cell. Synchronization accesses use the
-// object's dedicated header word (paper §4), modelled by the sync flag.
-type fieldKey struct {
-	obj   vm.ObjectID
-	field vm.FieldID
-	sync  bool
-}
-
-// metadata is the per-field last-access state.
+// metadata is one field's last-access state: the last transaction to write
+// it, and the last transaction of each thread to read it since that write,
+// sorted by thread.
 type metadata struct {
 	lastWrite *txn.Txn
-	lastReads map[vm.ThreadID]*txn.Txn
+	lastReads []lastRead
+}
+
+// lastRead is one thread's last reader transaction of a field.
+type lastRead struct {
+	th vm.ThreadID
+	tx *txn.Txn
+}
+
+// reader returns thread t's last reader transaction, or nil.
+func (md *metadata) reader(t vm.ThreadID) *txn.Txn {
+	for _, r := range md.lastReads {
+		if r.th == t {
+			return r.tx
+		}
+	}
+	return nil
+}
+
+// setRead makes tx thread t's last reader, keeping the readers sorted by
+// thread.
+func (md *metadata) setRead(t vm.ThreadID, tx *txn.Txn) {
+	i := 0
+	for i < len(md.lastReads) && md.lastReads[i].th < t {
+		i++
+	}
+	if i < len(md.lastReads) && md.lastReads[i].th == t {
+		md.lastReads[i].tx = tx
+		return
+	}
+	md.lastReads = slices.Insert(md.lastReads, i, lastRead{th: t, tx: tx})
 }
 
 // Stats counts checker activity.
@@ -89,7 +119,9 @@ type Checker struct {
 	opts  Options
 	mgr   *txn.Manager
 
-	meta map[fieldKey]*metadata
+	// meta holds each field's metadata, by the manager's Var. The field
+	// numbers are the manager's, so meta starts empty with each manager.
+	meta []metadata
 
 	// skipping marks, by thread ID, threads currently inside an unmonitored
 	// regular transaction (filtered out by opts.Filter).
@@ -99,10 +131,6 @@ type Checker struct {
 	violations []txn.Violation
 	stats      Stats
 	sinceGC    uint64
-
-	// readers is write's reusable buffer for walking a field's readers in
-	// thread order.
-	readers []vm.ThreadID
 }
 
 // NewChecker returns a Velodrome checker. meter may be nil.
@@ -112,7 +140,6 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 		meter: meter,
 		model: meter.Model(),
 		opts:  opts,
-		meta:  make(map[fieldKey]*metadata),
 	}
 	if c.opts.GCPeriod == 0 {
 		c.opts.GCPeriod = 8192
@@ -136,10 +163,11 @@ func (c *Checker) TxnStats() txn.Stats {
 }
 
 // ProgramStart implements vm.Instrumentation: it builds the run's
-// transaction manager.
+// transaction manager, and empties the metadata its field numbers index.
 func (c *Checker) ProgramStart(e vm.ExecView) {
 	c.exec = e
 	c.mgr = txn.NewManager(false, e.Now, c.meter)
+	c.meta = nil
 }
 
 // TxBegin implements vm.Instrumentation.
@@ -178,26 +206,21 @@ func (c *Checker) Access(a vm.Access) {
 	if !inTx && !c.opts.Filter.UnarySelected() {
 		return
 	}
-	var key fieldKey
-	switch a.Class {
-	case vm.ClassArray:
+	// Synchronization accesses use the object's dedicated header word
+	// (paper §4), a field number apart from the object's data fields.
+	field, sync := a.Field, a.Class == vm.ClassSync
+	if a.Class == vm.ClassArray {
 		if !c.opts.InstrumentArrays {
 			return
 		}
 		// Array-level metadata: conflate all elements (paper §5.4).
-		key = fieldKey{obj: a.Obj, field: 0, sync: false}
-	case vm.ClassSync:
-		key = fieldKey{obj: a.Obj, field: a.Field, sync: true}
-	default:
-		key = fieldKey{obj: a.Obj, field: a.Field, sync: false}
+		field = 0
 	}
 
 	c.stats.InstrumentedAccesses++
-	md := c.meta[key]
-	if md == nil {
-		md = &metadata{lastReads: make(map[vm.ThreadID]*txn.Txn)}
-		c.meta[key] = md
-	}
+	v := c.mgr.Var(a.Obj, field, sync)
+	c.meta = vm.Grow(c.meta, int(v))
+	md := &c.meta[v]
 	// If this access receives an incoming cross-thread edge, a merged unary
 	// transaction must be cut first (see txn.Manager.EdgeSink).
 	var cur *txn.Txn
@@ -223,7 +246,7 @@ func (c *Checker) Access(a vm.Access) {
 	} else {
 		c.read(md, cur, a.Seq)
 	}
-	c.mgr.Record(a.Thread, a.Obj, a.Field, a.Write, a.Class == vm.ClassSync, a.Seq)
+	c.mgr.Record(a.Thread, a.Obj, a.Field, a.Write, sync, a.Seq)
 
 	c.sinceGC++
 	if c.sinceGC >= c.opts.GCPeriod {
@@ -242,14 +265,14 @@ func (c *Checker) metadataChanges(md *metadata, cur *txn.Txn, a vm.Access) bool 
 		if md.lastWrite != cur {
 			return true
 		}
-		for t, rd := range md.lastReads {
-			if t != a.Thread || rd != cur {
+		for _, r := range md.lastReads {
+			if r.th != a.Thread || r.tx != cur {
 				return true
 			}
 		}
 		return false
 	}
-	return md.lastReads[a.Thread] != cur
+	return md.reader(a.Thread) != cur
 }
 
 // incomingEdge reports whether this access will receive a cross-thread
@@ -261,8 +284,8 @@ func (c *Checker) incomingEdge(md *metadata, a vm.Access) bool {
 	if !a.Write {
 		return false
 	}
-	for t := range md.lastReads {
-		if t != a.Thread {
+	for _, r := range md.lastReads {
+		if r.th != a.Thread {
 			return true
 		}
 	}
@@ -275,7 +298,7 @@ func (c *Checker) read(md *metadata, cur *txn.Txn, seq uint64) {
 	if md.lastWrite != nil && md.lastWrite.Thread != cur.Thread {
 		c.addEdge(md.lastWrite, cur, seq)
 	}
-	md.lastReads[cur.Thread] = cur
+	md.setRead(cur.Thread, cur)
 }
 
 // write applies the WRITE rule of Figure 5.
@@ -284,32 +307,17 @@ func (c *Checker) write(md *metadata, cur *txn.Txn, seq uint64) {
 	if md.lastWrite != nil && md.lastWrite.Thread != cur.Thread {
 		c.addEdge(md.lastWrite, cur, seq)
 	}
-	if len(md.lastReads) < 2 {
-		for t, rd := range md.lastReads {
-			if t != cur.Thread {
-				c.addEdge(rd, cur, seq)
-			}
-		}
-	} else {
-		// Several readers: add their anti-dependence edges in thread order.
-		// Each edge's cycle check charges per visited node, and the edges
-		// added before it decide what it visits, so map order would move the
-		// metered cost from one run of the same trace to the next.
-		c.readers = c.readers[:0]
-		for t := range md.lastReads {
-			c.readers = append(c.readers, t)
-		}
-		slices.Sort(c.readers)
-		for _, t := range c.readers {
-			if t != cur.Thread {
-				c.addEdge(md.lastReads[t], cur, seq)
-			}
+	// The readers' anti-dependence edges go in thread order. Each edge's
+	// cycle check charges per visited node, and the edges added before it
+	// decide what it visits, so the order fixes the metered cost.
+	for _, r := range md.lastReads {
+		if r.th != cur.Thread {
+			c.addEdge(r.tx, cur, seq)
 		}
 	}
 	md.lastWrite = cur
-	for t := range md.lastReads {
-		delete(md.lastReads, t)
-	}
+	clear(md.lastReads) // the backing array keeps no reader alive
+	md.lastReads = md.lastReads[:0]
 }
 
 // addEdge inserts a cross-thread edge and immediately checks for a cycle
@@ -344,12 +352,13 @@ func (c *Checker) collect() {
 	span := c.opts.Telemetry.StartSpan(c.opts.TraceSpan, telemetry.SpanVeloGC, c.meter)
 	defer span.End()
 	var roots []*txn.Txn
-	for _, md := range c.meta {
+	for i := range c.meta {
+		md := &c.meta[i]
 		if md.lastWrite != nil {
 			roots = append(roots, md.lastWrite)
 		}
-		for _, rd := range md.lastReads {
-			roots = append(roots, rd)
+		for _, r := range md.lastReads {
+			roots = append(roots, r.tx)
 		}
 	}
 	c.mgr.Collect(roots)

@@ -21,6 +21,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 )
 
 // ThreadID identifies a thread within a program. Threads are numbered
@@ -198,6 +199,11 @@ func (p *Program) MethodName(m MethodID) string {
 func (p *Program) Validate() error {
 	if len(p.Threads) == 0 {
 		return fmt.Errorf("program %q: no threads", p.Name)
+	}
+	// Every object, the threads' handle objects included, needs an ObjectID:
+	// a count past int32 would wrap a handle negative.
+	if p.NumObjects < 0 || p.NumObjects > math.MaxInt32-len(p.Threads) {
+		return fmt.Errorf("program %q: %d objects and %d threads do not fit object IDs", p.Name, p.NumObjects, len(p.Threads))
 	}
 	auto := 0
 	for i, t := range p.Threads {

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -464,6 +465,14 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 			Threads: []ThreadDecl{{ID: 0, Entry: 9, AutoStart: true}}}},
 		{"object range", &Program{Name: "x",
 			Methods: []*Method{{ID: 0, Name: "m", Body: []Op{{Kind: OpRead, Obj: 5}}}},
+			Threads: []ThreadDecl{{ID: 0, Entry: 0, AutoStart: true}}}},
+		{"negative objects", &Program{Name: "x", NumObjects: -5,
+			Methods: []*Method{{ID: 0, Name: "m"}},
+			Threads: []ThreadDecl{{ID: 0, Entry: 0, AutoStart: true}}}},
+		// One thread's handle object takes the ID after the last object,
+		// which here is past int32.
+		{"objects past int32", &Program{Name: "x", NumObjects: math.MaxInt32,
+			Methods: []*Method{{ID: 0, Name: "m"}},
 			Threads: []ThreadDecl{{ID: 0, Entry: 0, AutoStart: true}}}},
 		{"dup method", &Program{Name: "x", NumObjects: 1,
 			Methods: []*Method{{ID: 0, Name: "m"}, {ID: 1, Name: "m"}},
